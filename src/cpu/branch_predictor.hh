@@ -58,14 +58,14 @@ class BranchPredictor
  * Classic gshare: global history XOR pc indexes 2-bit counters.
  *
  * `final` so Core::run's per-predictor engine instantiation can
- * devirtualize the per-branch predict/update pair.
+ * call the per-branch predictAndUpdate directly.
  */
 class GshareBp final : public BranchPredictor
 {
   public:
     explicit GshareBp(std::size_t entries, int history_bits = 9);
 
-    // Header-inline: devirtualized per-branch path in Core::runEngine.
+    // Header-inline, as is predictAndUpdate (the engine's call).
     bool
     predict(std::uint64_t pc) override
     {
@@ -139,7 +139,7 @@ class TageBp final : public BranchPredictor
     /** @param entries total budget split across components. */
     explicit TageBp(std::size_t entries);
 
-    // Header-inline: devirtualized per-branch path in Core::runEngine.
+    // Header-inline, as is predictAndUpdate (the engine's call).
     bool
     predict(std::uint64_t pc) override
     {

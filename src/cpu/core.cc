@@ -93,9 +93,9 @@ Core::handleFault(Addr va, bool write, TranslateResult tr,
 }
 
 // htlint: hot-loop
-template <typename Bp>
+template <typename Stream, typename Bp>
 RunStats
-Core::runEngine(InstStream &stream, std::uint64_t max_insts, Bp &bp)
+Core::runEngine(Stream &stream, std::uint64_t max_insts, Bp &bp)
 {
     RunStats stats;
     double cycles = 0.0;
@@ -103,92 +103,12 @@ Core::runEngine(InstStream &stream, std::uint64_t max_insts, Bp &bp)
     const double overlap = _p.outOfOrder ? _p.memOverlap : 0.0;
     const double keep = 1.0 - overlap;
 
-    MicroOp block[blockSize];
-    for (;;) {
-        // Never fetch past the budget: chunked callers (quantum
-        // loops) resume the same stream, so an op generated here but
-        // not executed would be lost.
-        std::uint64_t remaining = max_insts - stats.instructions;
-        std::size_t want = static_cast<std::size_t>(
-            std::min<std::uint64_t>(blockSize, remaining));
-        std::size_t n = stream.fill(block, want);
-        if (n == 0)
-            break;
-
-        for (std::size_t i = 0; i < n; ++i) {
-            const MicroOp &op = block[i];
-            ++stats.instructions;
-            cycles += _issueCost[static_cast<std::size_t>(op.type)];
-
-            if (_pendingStall > 0) {
-                cycles +=
-                    static_cast<double>(_clock.toCycles(_pendingStall));
-                _pendingStall = 0;
-            }
-
-            switch (op.type) {
-              case OpType::Branch: {
-                ++stats.branches;
-                bool pred;
-                // Concrete predictors expose the fused per-branch call
-                // (identical state changes to predict-then-update); the
-                // virtual fallback keeps the two-call sequence.
-                if constexpr (requires { bp.predictAndUpdate(op.pc,
-                                                             op.taken); }) {
-                    pred = bp.predictAndUpdate(op.pc, op.taken);
-                } else {
-                    pred = bp.predict(op.pc);
-                    bp.update(op.pc, op.taken);
-                }
-                if (pred != op.taken) {
-                    ++stats.mispredicts;
-                    cycles += _p.mispredictPenalty;
-                }
-                break;
-              }
-              // Load and Store are separate cases (instead of one
-              // merged case re-testing op.type) so `write` reaches
-              // memAccess as a constant: the 13-vs-28 store/load
-              // split otherwise cost a mispredicting branch per op.
-              case OpType::Load:
-                ++stats.loads;
-                memAccess<false>(op.addr, l1_hit, keep, stats, cycles);
-                break;
-              case OpType::Store:
-                ++stats.stores;
-                memAccess<true>(op.addr, l1_hit, keep, stats, cycles);
-                break;
-              case OpType::IntAlu:
-              case OpType::FpAlu:
-                break;
-            }
-        }
-
-        if (stats.instructions >= max_insts)
-            break;
-    }
-
-    stats.cycles = static_cast<std::uint64_t>(std::ceil(cycles));
-    stats.ticks = _clock.toTicks(stats.cycles);
-    perf::noteInstsRetired(stats.instructions);
-    return stats;
-}
-
-// htlint: hot-loop
-template <typename Bp>
-RunStats
-Core::runFused(SyntheticWorkload &stream, std::uint64_t max_insts, Bp &bp)
-{
-    RunStats stats;
-    double cycles = 0.0;
-    const Tick l1_hit = _clock.toTicks(4);
-    const double overlap = _p.outOfOrder ? _p.memOverlap : 0.0;
-    const double keep = 1.0 - overlap;
-
-    // stream.next() binds statically (SyntheticWorkload is final), so
-    // generation inlines into this loop and op.type is a value the
-    // host already branched on inside emit() — the switch below
-    // folds into that cascade instead of re-dispatching cold.
+    // With Stream = SyntheticWorkload (final), next() binds
+    // statically, so generation inlines into this loop and op.type is
+    // a value the host already branched on inside emit() — the switch
+    // below folds into that cascade instead of re-dispatching cold.
+    // The budget test comes first: chunked callers (quantum loops)
+    // resume the same stream, so no op is generated and then dropped.
     MicroOp op;
     while (stats.instructions < max_insts && stream.next(op)) {
         ++stats.instructions;
@@ -202,25 +122,19 @@ Core::runFused(SyntheticWorkload &stream, std::uint64_t max_insts, Bp &bp)
         switch (op.type) {
           case OpType::Branch: {
             ++stats.branches;
-            bool pred;
-            // Concrete predictors expose the fused per-branch call
-            // (identical state changes to predict-then-update); the
-            // virtual fallback keeps the two-call sequence.
-            if constexpr (requires { bp.predictAndUpdate(op.pc,
-                                                         op.taken); }) {
-                pred = bp.predictAndUpdate(op.pc, op.taken);
-            } else {
-                pred = bp.predict(op.pc);
-                bp.update(op.pc, op.taken);
-            }
+            // The fused per-branch call: identical state changes and
+            // prediction to predict() followed by update().
+            bool pred = bp.predictAndUpdate(op.pc, op.taken);
             if (pred != op.taken) {
                 ++stats.mispredicts;
                 cycles += _p.mispredictPenalty;
             }
             break;
           }
-          // Separate Load/Store cases: `write` reaches memAccess as
-          // a constant (see runEngine).
+          // Load and Store are separate cases (instead of one merged
+          // case re-testing op.type) so `write` reaches memAccess as a
+          // constant: the 13-vs-28 store/load split otherwise cost a
+          // mispredicting branch per op.
           case OpType::Load:
             ++stats.loads;
             memAccess<false>(op.addr, l1_hit, keep, stats, cycles);
@@ -245,24 +159,20 @@ Core::runFused(SyntheticWorkload &stream, std::uint64_t max_insts, Bp &bp)
 RunStats
 Core::run(InstStream &stream, std::uint64_t max_insts)
 {
-    // Select the engine for the concrete stream and predictor once
-    // per run; inside the loop generation (synthetic streams) and
-    // predict/update are then direct (devirtualized) calls. Unknown
-    // stream types use the block-batched fill() engine; unknown
-    // predictor types fall back to virtual dispatch with the same
-    // timing behavior.
+    // Select the engine instantiation for the concrete stream and
+    // predictor once per run; inside the loop generation (synthetic
+    // streams) and predict/update are then direct calls. Any other
+    // stream keeps its virtual next(). makePredictor builds only the
+    // two final predictor types.
+    auto *gshare = dynamic_cast<GshareBp *>(_bp.get());
+    auto *tage = dynamic_cast<TageBp *>(_bp.get());
+    panicIf(!gshare && !tage, "unsupported branch predictor type");
     if (auto *syn = dynamic_cast<SyntheticWorkload *>(&stream)) {
-        if (auto *gshare = dynamic_cast<GshareBp *>(_bp.get()))
-            return runFused(*syn, max_insts, *gshare);
-        if (auto *tage = dynamic_cast<TageBp *>(_bp.get()))
-            return runFused(*syn, max_insts, *tage);
-        return runFused(*syn, max_insts, *_bp);
+        return gshare ? runEngine(*syn, max_insts, *gshare)
+                      : runEngine(*syn, max_insts, *tage);
     }
-    if (auto *gshare = dynamic_cast<GshareBp *>(_bp.get()))
-        return runEngine(stream, max_insts, *gshare);
-    if (auto *tage = dynamic_cast<TageBp *>(_bp.get()))
-        return runEngine(stream, max_insts, *tage);
-    return runEngine(stream, max_insts, *_bp);
+    return gshare ? runEngine(stream, max_insts, *gshare)
+                  : runEngine(stream, max_insts, *tage);
 }
 
 RunStats

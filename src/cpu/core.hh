@@ -28,8 +28,6 @@
 namespace hypertee
 {
 
-class SyntheticWorkload;
-
 /** Aggregate results of a run() call. */
 struct RunStats
 {
@@ -96,9 +94,8 @@ class Core
      * Execute up to @p max_insts from @p stream.
      * Unresolved faults abort the op (counted in RunStats::faults).
      *
-     * This is the block-batched fast engine: ops are fetched in
-     * blocks of up to blockSize via InstStream::fill (amortizing the
-     * per-op virtual dispatch), the branch predictor is devirtualized
+     * This is the fast engine: the stream (when it is a
+     * SyntheticWorkload) and the branch predictor are devirtualized
      * once per run, and cycle accounting uses the precomputed
      * per-OpType cost table. Produces results bit-identical to
      * runReference() — the differential test pins that equivalence.
@@ -117,36 +114,24 @@ class Core
     /** Charge an externally imposed stall (primitive round trips). */
     void chargeStall(Tick t) { _pendingStall += t; }
 
-    /** Ops fetched per InstStream::fill call by the fast engine. */
-    static constexpr std::size_t blockSize = 256;
-
   private:
     double issueCost(OpType type) const;
 
     /**
-     * The fast engine, instantiated per concrete predictor type so
-     * predict/update devirtualize (GshareBp/TageBp are final).
+     * The fast engine, instantiated per concrete stream and predictor
+     * type. With Stream = SyntheticWorkload (final, next/emit
+     * header-inline) generation fuses into execution: emit()'s mix
+     * cascade doubles as the execution dispatch. With Stream =
+     * InstStream, next() stays a virtual call (test doubles). Bp is
+     * GshareBp or TageBp (both final), so the per-branch
+     * predictAndUpdate is a direct call.
      */
-    template <typename Bp>
-    RunStats runEngine(InstStream &stream, std::uint64_t max_insts,
-                       Bp &bp);
-
-    /**
-     * Generation-fused engine for the dominant stream type: with
-     * SyntheticWorkload::next() statically bound (the class is final
-     * and next/emit are header-inline), emit()'s mix cascade becomes
-     * the execution dispatch — one data-dependent host branch per op
-     * where the block engine pays the cascade *and* a far-separated
-     * (hence unpredicted) execute switch. Charging code is identical
-     * to runEngine's, so results stay bit-for-bit the same.
-     */
-    template <typename Bp>
-    RunStats runFused(SyntheticWorkload &stream, std::uint64_t max_insts,
-                      Bp &bp);
+    template <typename Stream, typename Bp>
+    RunStats runEngine(Stream &stream, std::uint64_t max_insts, Bp &bp);
 
     /**
      * One load/store: translate, fault handling, hierarchy access,
-     * stall accounting. Shared verbatim by both fast engines. Write
+     * stall accounting. Used by every runEngine instantiation. Write
      * is a template constant so each switch arm compiles a straight
      * path with no per-op load-vs-store re-test (that re-test was a
      * mispredicting branch: the split is data-dependent).

@@ -11,7 +11,6 @@
 #ifndef HYPERTEE_CPU_MICRO_OP_HH
 #define HYPERTEE_CPU_MICRO_OP_HH
 
-#include <cstddef>
 #include <cstdint>
 
 #include "sim/types.hh"
@@ -36,7 +35,13 @@ struct MicroOp
     bool taken = false; ///< actual branch outcome
 };
 
-/** Pull-based instruction source. */
+/**
+ * Pull-based instruction source. Core::run calls next() exactly once
+ * per op it executes and never past its instruction budget, so
+ * chunked callers (quantum loops) can resume the same stream. The hot
+ * stream (SyntheticWorkload) is final with a header-inline next(), so
+ * the core binds it statically.
+ */
 class InstStream
 {
   public:
@@ -44,28 +49,6 @@ class InstStream
 
     /** Produce the next op; false at end of stream. */
     virtual bool next(MicroOp &op) = 0;
-
-    /**
-     * Produce up to @p max ops into @p buf; returns the count filled.
-     *
-     * Returning fewer than @p max ops does NOT signal end-of-stream —
-     * only a return of 0 does. Consumers (Core::run) size @p max so
-     * they never fetch past their instruction budget, which keeps
-     * chunked callers (quantum loops that resume the same stream)
-     * exact: a stream must never generate an op that is not consumed.
-     *
-     * The default implementation loops over next(); hot streams
-     * (SyntheticWorkload) override it so the per-op virtual dispatch
-     * amortizes over the whole block.
-     */
-    virtual std::size_t
-    fill(MicroOp *buf, std::size_t max)
-    {
-        std::size_t n = 0;
-        while (n < max && next(buf[n]))
-            ++n;
-        return n;
-    }
 };
 
 } // namespace hypertee

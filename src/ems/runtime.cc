@@ -109,7 +109,18 @@ EmsRuntime::shm(ShmId id) const
 KeyId
 EmsRuntime::assignKeyId(const Bytes &key, Tick &service)
 {
-    KeyId id = _nextKey++;
+    // The next KeyID that is neither the plaintext domain (0) nor
+    // held by a live enclave or shm. The 16-bit counter wraps, and
+    // configureKey() on a held KeyID would silently re-key that live
+    // domain.
+    KeyId id = 0;
+    for (std::uint32_t tries = 0; tries <= 0xffff && id == 0; ++tries) {
+        KeyId cand = _nextKey++;
+        if (cand != 0 && !_port->keyConfigured(cand))
+            id = cand;
+    }
+    if (id == 0)
+        return 0;
     if (_port->configureKey(id, key))
         return id;
     // KeyID exhaustion (Section IV-C): suspend a non-running enclave

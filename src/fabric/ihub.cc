@@ -113,6 +113,12 @@ EmsPort::releaseKey(KeyId id)
 }
 
 bool
+EmsPort::keyConfigured(KeyId id) const
+{
+    return _hub->_encEngine->hasKey(id);
+}
+
+bool
 EmsPort::configureDmaWindow(std::size_t window, std::uint32_t device,
                             Addr base, Addr size, std::uint8_t perms)
 {

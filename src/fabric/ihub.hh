@@ -49,6 +49,7 @@ class EmsPort
     /** Program the memory-encryption key table. */
     bool configureKey(KeyId id, const Bytes &key);
     void releaseKey(KeyId id);
+    bool keyConfigured(KeyId id) const;
 
     /** Program a DMA whitelist window. */
     bool configureDmaWindow(std::size_t window, std::uint32_t device,

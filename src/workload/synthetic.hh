@@ -12,7 +12,6 @@
 #ifndef HYPERTEE_WORKLOAD_SYNTHETIC_HH
 #define HYPERTEE_WORKLOAD_SYNTHETIC_HH
 
-#include <algorithm>
 #include <string>
 
 #include "cpu/micro_op.hh"
@@ -71,9 +70,9 @@ class SyntheticWorkload final : public InstStream
     SyntheticWorkload(const WorkloadProfile &profile, Addr base,
                       Addr sparse_base, std::uint64_t seed = 1);
 
-    // next/fill are header-inline (and this class final) so the
-    // synthetic-specialized Core engine can fuse generation into
-    // execution with no virtual dispatch per op.
+    // next() is header-inline (and this class final) so Core's
+    // SyntheticWorkload instantiation of runEngine can fuse
+    // generation into execution with no virtual dispatch per op.
     bool
     next(MicroOp &op) override
     {
@@ -84,25 +83,6 @@ class SyntheticWorkload final : public InstStream
         return true;
     }
 
-    /**
-     * Block generation: emits min(max, remaining) ops in one call.
-     * Draws the RNG in exactly the order next() would, so the two
-     * entry points produce bit-identical streams.
-     */
-    std::size_t
-    fill(MicroOp *buf, std::size_t max) override
-    {
-        std::uint64_t remaining =
-            _p.instructions - std::min(_emitted, _p.instructions);
-        std::size_t n = static_cast<std::size_t>(
-            std::min<std::uint64_t>(max, remaining));
-        for (std::size_t i = 0; i < n; ++i) {
-            ++_emitted;
-            emit(buf[i]);
-        }
-        return n;
-    }
-
     /** Restart from the beginning (fresh run, same sequence). */
     void reset();
 
@@ -111,8 +91,8 @@ class SyntheticWorkload final : public InstStream
 
   private:
     /**
-     * One op of the sequence. Header-inline so Core's synthetic-
-     * specialized engine fuses generation into execution: the type
+     * One op of the sequence. Header-inline so Core's SyntheticWorkload
+     * engine instantiation fuses generation into execution: the type
      * cascade below then doubles as the execution dispatch, costing
      * one data-dependent host branch per op instead of two.
      *

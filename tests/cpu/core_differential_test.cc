@@ -1,16 +1,18 @@
 /**
  * @file
- * Differential pin of the optimized execution engines against
+ * Differential pin of the optimized execution engine against
  * Core::runReference, the executable specification of the timing
  * model.
  *
- * Core::run dispatches to runFused (SyntheticWorkload streams) or
- * the block-batched runEngine (anything else); both devirtualize
- * the predictor and share the flattened memAccess fast path. Every
- * one of those transformations claims bit-for-bit equivalence with
- * the reference scalar loop — this test enforces the claim across
- * randomized workload profiles, both predictors, both dispatch
- * paths, chunked (quantum) execution, and the faulting paths.
+ * Core::run instantiates runEngine per stream and predictor type:
+ * SyntheticWorkload streams bind next() statically ([static]), any
+ * other stream keeps its virtual next() ([virtual]). Both
+ * devirtualize the predictor and share the flattened memAccess fast
+ * path. Every one of those transformations claims bit-for-bit
+ * equivalence with the reference scalar loop — this test enforces
+ * the claim across randomized workload profiles, both predictors,
+ * both stream instantiations, chunked (quantum) execution, and the
+ * faulting paths.
  *
  * Two fully separate simulation environments are constructed per
  * comparison (own PhysicalMemory, page table, Core) so predictor,
@@ -41,8 +43,8 @@ constexpr Addr kSparseVa = 0x2000'0000;
 
 /**
  * Type-erasing forward so dynamic_cast<SyntheticWorkload *> fails
- * and Core::run takes the block-batched runEngine path instead of
- * the generation-fused one.
+ * and Core::run takes the InstStream instantiation of runEngine
+ * (virtual next() per op) instead of the SyntheticWorkload one.
  */
 class OpaqueStream : public InstStream
 {
@@ -128,22 +130,22 @@ runDifferential(const CoreParams &cp, const WorkloadProfile &p,
                 std::uint64_t seed, bool map_sparse,
                 const std::string &what)
 {
-    // Fused path (Core::run sees the concrete SyntheticWorkload).
+    // Static next() (Core::run sees the concrete SyntheticWorkload).
     {
         Env fast(cp, p, seed, map_sparse);
         Env ref(cp, p, seed, map_sparse);
         expectSameStats(fast.core.run(fast.stream),
                         ref.core.runReference(ref.stream),
-                        what + " [fused]");
+                        what + " [static]");
     }
-    // Block-batched path (type-erased stream).
+    // Virtual next() (type-erased stream).
     {
         Env fast(cp, p, seed, map_sparse);
         Env ref(cp, p, seed, map_sparse);
         OpaqueStream opaque(fast.stream);
         expectSameStats(fast.core.run(opaque),
                         ref.core.runReference(ref.stream),
-                        what + " [block]");
+                        what + " [virtual]");
     }
 }
 
@@ -176,25 +178,35 @@ TEST(CoreDifferential, ChunkedQuantumRunsMatchChunkedReference)
 {
     // The fig11 pattern: run in fixed instruction quanta (cycles
     // round up per chunk, so chunked must compare against chunked).
+    // Each quantum must stop at its budget without pulling an extra
+    // op from the resumed stream, on both stream instantiations.
     Random r(0xd1ff'0003);
     WorkloadProfile p = randomProfile(r);
     p.instructions = 100'000;
     CoreParams cp = csCoreParams();
 
-    Env fast(cp, p, 7, true);
-    Env ref(cp, p, 7, true);
-    RunStats fast_total, ref_total;
-    for (;;) {
-        RunStats a = fast.core.run(fast.stream, 9'001);
-        RunStats b = ref.core.runReference(ref.stream, 9'001);
-        expectSameStats(a, b, "chunk");
-        if (a.instructions == 0)
-            break;
-        fast_total.add(a);
-        ref_total.add(b);
+    for (bool type_erased : {false, true}) {
+        const std::string what = type_erased ? " [virtual]" : " [static]";
+        Env fast(cp, p, 7, true);
+        Env ref(cp, p, 7, true);
+        OpaqueStream opaque(fast.stream);
+        InstStream &fast_stream =
+            type_erased ? static_cast<InstStream &>(opaque) : fast.stream;
+        RunStats fast_total, ref_total;
+        for (;;) {
+            RunStats a = fast.core.run(fast_stream, 9'001);
+            RunStats b = ref.core.runReference(ref.stream, 9'001);
+            expectSameStats(a, b, "chunk" + what);
+            ASSERT_EQ(fast.stream.emitted(), ref.stream.emitted())
+                << "ops fetched past the quantum" << what;
+            if (a.instructions == 0)
+                break;
+            fast_total.add(a);
+            ref_total.add(b);
+        }
+        expectSameStats(fast_total, ref_total, "chunk totals" + what);
+        EXPECT_EQ(fast_total.instructions, p.instructions) << what;
     }
-    expectSameStats(fast_total, ref_total, "chunk totals");
-    EXPECT_EQ(fast_total.instructions, p.instructions);
 }
 
 TEST(CoreDifferential, UnmappedSparsePagesFaultIdentically)
@@ -240,7 +252,7 @@ TEST(CoreDifferential, ResolvingFaultHandlerMatchesReference)
         install(ref);
         expectSameStats(fast.core.run(fast.stream),
                         ref.core.runReference(ref.stream),
-                        "demand-paging [fused]");
+                        "demand-paging [static]");
     }
     {
         Env fast(cp, p, 13, false);
@@ -250,7 +262,7 @@ TEST(CoreDifferential, ResolvingFaultHandlerMatchesReference)
         OpaqueStream opaque(fast.stream);
         expectSameStats(fast.core.run(opaque),
                         ref.core.runReference(ref.stream),
-                        "demand-paging [block]");
+                        "demand-paging [virtual]");
     }
 }
 

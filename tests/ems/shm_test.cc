@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "ems/runtime.hh"
 
 namespace hypertee
@@ -274,6 +276,50 @@ TEST_F(ShmFixture, SharedPagesNeverReissuedAsPrivate)
         for (Addr ppn : ctl->pages)
             EXPECT_EQ(shared.count(ppn), 0u);
     }
+}
+
+TEST_F(ShmFixture, KeyIdWrapNeverReissuesLiveKeyIds)
+{
+    // More ESHMGET/ESHMDES cycles than there are 16-bit KeyIDs: the
+    // allocator must wrap past the plaintext KeyID 0 and never hand
+    // out (and so re-key) a KeyID a live enclave or shm still holds.
+    ShmId held = createShm(1);
+    const std::vector<EnclaveId> enclaves = {sender, receiver, attacker};
+    std::vector<KeyId> live;
+    for (EnclaveId e : enclaves)
+        live.push_back(rt->enclave(e)->keyId);
+    live.push_back(rt->shm(held)->keyId);
+
+    // A keystream sample per live KeyID: equal after the churn means
+    // the slot still holds the same key.
+    auto keystream = [this](KeyId k) {
+        return enc.transformLine(k, kCsBase, Bytes(lineSize, 0));
+    };
+    std::map<KeyId, Bytes> before;
+    for (KeyId k : live)
+        before[k] = keystream(k);
+    ASSERT_EQ(before.size(), live.size()) << "live KeyIDs are distinct";
+
+    for (std::uint32_t i = 0; i < 70'000; ++i) {
+        PrimitiveResponse r = invoke(PrimitiveOp::EShmGet, PrivMode::User,
+                                     {1, PteRead | PteWrite}, sender);
+        ASSERT_EQ(r.status, PrimStatus::Ok) << "cycle " << i;
+        ShmId id = static_cast<ShmId>(r.results.at(0));
+        KeyId k = rt->shm(id)->keyId;
+        ASSERT_NE(k, 0) << "cycle " << i;
+        ASSERT_EQ(before.count(k), 0u)
+            << "KeyID " << k << " reissued while live, cycle " << i;
+        ASSERT_EQ(invoke(PrimitiveOp::EShmDes, PrivMode::User, {id}, sender)
+                      .status,
+                  PrimStatus::Ok)
+            << "cycle " << i;
+    }
+
+    for (std::size_t j = 0; j < enclaves.size(); ++j)
+        EXPECT_EQ(rt->enclave(enclaves[j])->keyId, live[j]);
+    EXPECT_EQ(rt->shm(held)->keyId, live.back());
+    for (const auto &[k, stream] : before)
+        EXPECT_EQ(keystream(k), stream) << "KeyID " << k << " re-keyed";
 }
 
 TEST_F(ShmFixture, DoubleAttachRejected)
