@@ -68,6 +68,15 @@ BM_AesCtr(benchmark::State &state)
 BENCHMARK(BM_AesCtr)->Arg(4096);
 
 void
+BM_Ed25519PublicKey(benchmark::State &state)
+{
+    Bytes seed(32, 0x42);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(ed25519PublicKey(seed));
+}
+BENCHMARK(BM_Ed25519PublicKey);
+
+void
 BM_Ed25519Sign(benchmark::State &state)
 {
     Bytes seed(32, 0x42);
@@ -78,13 +87,37 @@ BM_Ed25519Sign(benchmark::State &state)
 BENCHMARK(BM_Ed25519Sign);
 
 void
-BM_X25519(benchmark::State &state)
+BM_Ed25519Verify(benchmark::State &state)
+{
+    Bytes seed(32, 0x42);
+    Bytes msg(64, 0x24);
+    Bytes pub = ed25519PublicKey(seed);
+    Bytes sig = ed25519Sign(seed, msg);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(ed25519Verify(pub, msg, sig));
+}
+BENCHMARK(BM_Ed25519Verify);
+
+/** Fixed-base X25519: public-key derivation (the comb path). */
+void
+BM_X25519Base(benchmark::State &state)
 {
     Bytes scalar(32, 0x55);
     for (auto _ : state)
         benchmark::DoNotOptimize(x25519Base(scalar));
 }
-BENCHMARK(BM_X25519);
+BENCHMARK(BM_X25519Base);
+
+/** Variable-base X25519: a shared secret (the Montgomery ladder). */
+void
+BM_X25519Shared(benchmark::State &state)
+{
+    Bytes scalar(32, 0x55);
+    Bytes peer = x25519Base(Bytes(32, 0x66));
+    for (auto _ : state)
+        benchmark::DoNotOptimize(x25519(scalar, peer));
+}
+BENCHMARK(BM_X25519Shared);
 
 void
 BM_TlbLookup(benchmark::State &state)

@@ -2,7 +2,7 @@
 
 #include <cstring>
 
-#include "crypto/fe25519.hh"
+#include "crypto/ge25519.hh"
 #include "crypto/sha512.hh"
 #include "sim/logging.hh"
 
@@ -16,79 +16,110 @@ using u64 = std::uint64_t;
 using u128 = unsigned __int128;
 
 // ----- scalar arithmetic mod the group order L -----
+//
+// Constant time throughout: the scalars include the secret key and the
+// signing nonce, so no branch or index depends on their values.
 
-/** 256-bit little-endian integer in 4x64-bit words (plus headroom). */
+/** A scalar below L in 4x64-bit little-endian words. */
 struct U256
 {
-    u64 w[5] = {0, 0, 0, 0, 0};
+    u64 w[4] = {0, 0, 0, 0};
 };
 
-const U256 &
-orderL()
-{
-    // L = 2^252 + 27742317777372353535851937790883648493
-    static const U256 l = [] {
-        U256 v;
-        v.w[0] = 0x5812631a5cf5d3edULL;
-        v.w[1] = 0x14def9dea2f79cd6ULL;
-        v.w[2] = 0;
-        v.w[3] = 0x1000000000000000ULL;
-        return v;
-    }();
-    return l;
-}
+/** L = 2^252 + 27742317777372353535851937790883648493. */
+constexpr u64 kL[4] = {0x5812631a5cf5d3edULL, 0x14def9dea2f79cd6ULL, 0,
+                       0x1000000000000000ULL};
 
-bool
-geq(const U256 &a, const U256 &b)
-{
-    for (int i = 4; i >= 0; --i) {
-        if (a.w[i] != b.w[i])
-            return a.w[i] > b.w[i];
-    }
-    return true;
-}
+/** floor(2^512 / L), the Barrett constant. */
+constexpr u64 kMu[5] = {0xed9ce5a30a2c131bULL, 0x2106215d086329a7ULL,
+                        0xffffffffffffffebULL, 0xffffffffffffffffULL,
+                        0xfULL};
 
+/** out = the low @p n words of a * b (schoolbook). */
 void
-sub(U256 &a, const U256 &b)
+mulWords(u64 *out, int n, const u64 *a, int na, const u64 *b, int nb)
 {
+    for (int i = 0; i < n; ++i)
+        out[i] = 0;
+    for (int i = 0; i < na && i < n; ++i) {
+        u64 carry = 0;
+        for (int j = 0; j < nb && i + j < n; ++j) {
+            u128 v = (u128)a[i] * b[j] + out[i + j] + carry;
+            out[i + j] = (u64)v;
+            carry = (u64)(v >> 64);
+        }
+        if (i + nb < n)
+            out[i + nb] = carry;
+    }
+}
+
+/** r -= L when r >= L (r has five words), by borrow mask. */
+void
+condSubL(u64 r[5])
+{
+    u64 d[5];
     u64 borrow = 0;
     for (int i = 0; i < 5; ++i) {
-        u128 d = (u128)a.w[i] - b.w[i] - borrow;
-        a.w[i] = (u64)d;
-        borrow = (d >> 64) ? 1 : 0;
+        u128 v = (u128)r[i] - (i < 4 ? kL[i] : 0) - borrow;
+        d[i] = (u64)v;
+        borrow = (u64)(v >> 127);
     }
+    const u64 keep_r = 0 - borrow; // all ones when r < L
+    for (int i = 0; i < 5; ++i)
+        r[i] = (r[i] & keep_r) | (d[i] & ~keep_r);
 }
 
-/** a = 2a + bit, then reduce mod L. */
-void
-shiftInBit(U256 &a, bool bit)
-{
-    u64 carry = bit ? 1 : 0;
-    for (int i = 0; i < 5; ++i) {
-        u64 next = a.w[i] >> 63;
-        a.w[i] = (a.w[i] << 1) | carry;
-        carry = next;
-    }
-    if (geq(a, orderL()))
-        sub(a, orderL());
-}
-
-/** Reduce a bit string (big-endian bit order over LE bytes) mod L. */
+/**
+ * x mod L for x < 2^512 in eight words: Barrett reduction (HAC
+ * 14.42 with base 2^64, k = 4). The quotient estimate q3 is at most
+ * two below the true quotient, so x - q3 * L < 3L and two
+ * conditional subtractions finish the job.
+ */
 U256
-reduceBitsModL(const std::uint8_t *le_bytes, std::size_t len)
+reduceWide(const u64 x[8])
 {
-    U256 r;
-    for (std::size_t i = len; i-- > 0;) {
-        for (int bit = 7; bit >= 0; --bit)
-            shiftInBit(r, (le_bytes[i] >> bit) & 1);
+    u64 q2[10];
+    mulWords(q2, 10, x + 3, 5, kMu, 5); // floor(x / 2^192) * mu
+    u64 r2[5];
+    mulWords(r2, 5, q2 + 5, 5, kL, 4); // (floor(q2 / 2^320) * L) mod 2^320
+
+    u64 r[5];
+    u64 borrow = 0;
+    for (int i = 0; i < 5; ++i) {
+        u128 v = (u128)x[i] - r2[i] - borrow;
+        r[i] = (u64)v;
+        borrow = (u64)(v >> 127);
     }
-    return r;
+    condSubL(r);
+    condSubL(r);
+    return {{r[0], r[1], r[2], r[3]}};
+}
+
+/** Little-endian bytes to words; @p len a multiple of 8, at most 64. */
+void
+loadWords(u64 out[8], const std::uint8_t *le_bytes, std::size_t len)
+{
+    for (int i = 0; i < 8; ++i)
+        out[i] = 0;
+    for (std::size_t i = 0; i < len; ++i)
+        out[i / 8] |= (u64)le_bytes[i] << (8 * (i % 8));
+}
+
+/** A 64-byte hash output, read as a little-endian integer, mod L. */
+U256
+scReduce64(const std::uint8_t le_bytes[64])
+{
+    u64 x[8];
+    loadWords(x, le_bytes, 64);
+    return reduceWide(x);
 }
 
 U256
 scFromBytes(const std::uint8_t le_bytes[32])
 {
-    return reduceBitsModL(le_bytes, 32);
+    u64 x[8];
+    loadWords(x, le_bytes, 32);
+    return reduceWide(x);
 }
 
 void
@@ -100,191 +131,32 @@ scToBytes(std::uint8_t out[32], const U256 &a)
     }
 }
 
-/** (a * b + c) mod L. */
+/** (a * b + c) mod L; a * b + c < L^2 + L < 2^512. */
 U256
 scMulAdd(const U256 &a, const U256 &b, const U256 &c)
 {
-    u64 prod[9] = {0};
-    for (int i = 0; i < 4; ++i) {
-        u128 carry = 0;
-        for (int j = 0; j < 4; ++j) {
-            u128 v = (u128)a.w[i] * b.w[j] + prod[i + j] + carry;
-            prod[i + j] = (u64)v;
-            carry = v >> 64;
-        }
-        prod[i + 4] += (u64)carry;
+    u64 x[8];
+    mulWords(x, 8, a.w, 4, b.w, 4);
+    u64 carry = 0;
+    for (int i = 0; i < 8; ++i) {
+        u128 v = (u128)x[i] + (i < 4 ? c.w[i] : 0) + carry;
+        x[i] = (u64)v;
+        carry = (u64)(v >> 64);
     }
-    // add c
-    u128 carry = 0;
-    for (int i = 0; i < 9; ++i) {
-        u128 v = (u128)prod[i] + (i < 5 ? c.w[i] : 0) + carry;
-        prod[i] = (u64)v;
-        carry = v >> 64;
-    }
-    // reduce the 576-bit value mod L bit by bit
-    std::uint8_t le[72];
-    for (int i = 0; i < 9; ++i)
-        for (int j = 0; j < 8; ++j)
-            le[8 * i + j] = static_cast<std::uint8_t>(prod[i] >> (8 * j));
-    return reduceBitsModL(le, 72);
+    return reduceWide(x);
 }
 
+/** S < L (RFC 8032 malleability check); S is public. */
 bool
 scIsCanonical(const std::uint8_t le_bytes[32])
 {
-    U256 v;
-    for (int i = 0; i < 4; ++i) {
-        for (int j = 0; j < 8; ++j)
-            v.w[i] |= (u64)le_bytes[8 * i + j] << (8 * j);
+    u64 v[8];
+    loadWords(v, le_bytes, 32);
+    for (int i = 3; i >= 0; --i) {
+        if (v[i] != kL[i])
+            return v[i] < kL[i];
     }
-    return !geq(v, orderL());
-}
-
-// ----- group arithmetic (extended twisted Edwards coordinates) -----
-
-struct GeP
-{
-    Fe x, y, z, t;
-};
-
-struct Constants
-{
-    Fe d;
-    Fe d2;
-    GeP base;
-
-    Constants()
-    {
-        // d = -121665/121666
-        d = feMul(feNeg(feFromUint(121665)),
-                  feInvert(feFromUint(121666)));
-        d2 = feAdd(d, d);
-
-        // Base point: y = 4/5, x recovered with even sign.
-        Fe by = feMul(feFromUint(4), feInvert(feFromUint(5)));
-        Fe bx = recoverX(by, false);
-        base.x = bx;
-        base.y = by;
-        base.z = feOne();
-        base.t = feMul(bx, by);
-    }
-
-    /** x from y and the sign bit; panics if y is not on the curve. */
-    Fe
-    recoverX(const Fe &y, bool sign) const
-    {
-        Fe y2 = feSq(y);
-        Fe u = feSub(y2, feOne());
-        Fe v = feAdd(feMul(d, y2), feOne());
-        Fe x = recoverXChecked(u, v, sign);
-        panicIf(feIsZero(x) && !feIsZero(u),
-                "recoverX: point not on the curve");
-        return x;
-    }
-
-    /** Returns x with v*x^2 == u, adjusted to @p sign; zero if none. */
-    static Fe
-    recoverXChecked(const Fe &u, const Fe &v, bool sign)
-    {
-        // x = u * v^3 * (u * v^7)^((p-5)/8)
-        Fe v3 = feMul(feSq(v), v);
-        Fe v7 = feMul(feSq(v3), v);
-        Fe x = feMul(feMul(u, v3), fePow2523(feMul(u, v7)));
-
-        Fe vx2 = feMul(v, feSq(x));
-        if (!feEqual(vx2, u)) {
-            if (feEqual(vx2, feNeg(u))) {
-                x = feMul(x, feSqrtM1());
-            } else {
-                return feZero(); // not a quadratic residue: invalid
-            }
-        }
-        if (feIsNegative(x) != sign)
-            x = feNeg(x);
-        return x;
-    }
-};
-
-const Constants &
-consts()
-{
-    static const Constants c;
-    return c;
-}
-
-GeP
-geIdentity()
-{
-    return {feZero(), feOne(), feOne(), feZero()};
-}
-
-/** Unified point addition (add-2008-hwcd-3); valid for doubling. */
-GeP
-geAdd(const GeP &p, const GeP &q)
-{
-    const Constants &c = consts();
-    Fe a = feMul(feSub(p.y, p.x), feSub(q.y, q.x));
-    Fe b = feMul(feAdd(p.y, p.x), feAdd(q.y, q.x));
-    Fe cc = feMul(feMul(p.t, c.d2), q.t);
-    Fe dd = feMul(feAdd(p.z, p.z), q.z);
-    Fe e = feSub(b, a);
-    Fe f = feSub(dd, cc);
-    Fe g = feAdd(dd, cc);
-    Fe h = feAdd(b, a);
-    GeP r;
-    r.x = feMul(e, f);
-    r.y = feMul(g, h);
-    r.t = feMul(e, h);
-    r.z = feMul(f, g);
-    return r;
-}
-
-/** scalar (LE bytes, already < L) times point, double-and-add. */
-GeP
-geScalarMult(const std::uint8_t scalar_le[32], const GeP &p)
-{
-    GeP r = geIdentity();
-    for (int bit = 255; bit >= 0; --bit) {
-        r = geAdd(r, r);
-        if ((scalar_le[bit / 8] >> (bit % 8)) & 1)
-            r = geAdd(r, p);
-    }
-    return r;
-}
-
-GeP
-geScalarMultBase(const std::uint8_t scalar_le[32])
-{
-    return geScalarMult(scalar_le, consts().base);
-}
-
-void
-geCompress(std::uint8_t out[32], const GeP &p)
-{
-    Fe zinv = feInvert(p.z);
-    Fe x = feMul(p.x, zinv);
-    Fe y = feMul(p.y, zinv);
-    feToBytes(out, y);
-    if (feIsNegative(x))
-        out[31] |= 0x80;
-}
-
-bool
-geDecompress(GeP &out, const std::uint8_t in[32])
-{
-    bool sign = (in[31] & 0x80) != 0;
-    Fe y = feFromBytes(in);
-    Fe y2 = feSq(y);
-    Fe u = feSub(y2, feOne());
-    Fe v = feAdd(feMul(consts().d, y2), feOne());
-    Fe x = Constants::recoverXChecked(u, v, sign);
-    if (feIsZero(x) && !feIsZero(u))
-        return false; // not on the curve
-    out.x = x;
-    out.y = y;
-    out.z = feOne();
-    out.t = feMul(x, y);
-    return true;
+    return false; // S == L
 }
 
 struct ExpandedKey
@@ -305,8 +177,7 @@ expandSeed(const Bytes &seed)
     k.scalar[0] &= 248;
     k.scalar[31] &= 63;
     k.scalar[31] |= 64;
-    GeP a = geScalarMultBase(k.scalar);
-    geCompress(k.publicKey, a);
+    geCompress(k.publicKey, geScalarMultBase(k.scalar));
     return k;
 }
 
@@ -328,20 +199,19 @@ ed25519Sign(const Bytes &seed, const Bytes &message)
     hr.update(k.prefix, 32);
     hr.update(message);
     auto r_hash = hr.finish();
-    U256 r = reduceBitsModL(r_hash.data(), 64);
+    U256 r = scReduce64(r_hash.data());
     std::uint8_t r_bytes[32];
     scToBytes(r_bytes, r);
 
-    GeP r_point = geScalarMultBase(r_bytes);
     std::uint8_t r_enc[32];
-    geCompress(r_enc, r_point);
+    geCompress(r_enc, geScalarMultBase(r_bytes));
 
     Sha512 hk;
     hk.update(r_enc, 32);
     hk.update(k.publicKey, 32);
     hk.update(message);
     auto k_hash = hk.finish();
-    U256 kk = reduceBitsModL(k_hash.data(), 64);
+    U256 kk = scReduce64(k_hash.data());
 
     U256 a = scFromBytes(k.scalar);
     U256 s = scMulAdd(kk, a, r);
@@ -361,7 +231,7 @@ ed25519Verify(const Bytes &public_key, const Bytes &message,
     if (!scIsCanonical(signature.data() + 32))
         return false;
 
-    GeP a_point, r_point;
+    GeP3 a_point, r_point;
     if (!geDecompress(a_point, public_key.data()))
         return false;
     if (!geDecompress(r_point, signature.data()))
@@ -372,19 +242,14 @@ ed25519Verify(const Bytes &public_key, const Bytes &message,
     hk.update(public_key);
     hk.update(message);
     auto k_hash = hk.finish();
-    U256 k = reduceBitsModL(k_hash.data(), 64);
+    U256 k = scReduce64(k_hash.data());
     std::uint8_t k_bytes[32];
     scToBytes(k_bytes, k);
 
-    // Check S*B == R + k*A.
-    GeP sb = geScalarMultBase(signature.data() + 32);
-    GeP ka = geScalarMult(k_bytes, a_point);
-    GeP rhs = geAdd(r_point, ka);
-
-    std::uint8_t lhs_enc[32], rhs_enc[32];
-    geCompress(lhs_enc, sb);
-    geCompress(rhs_enc, rhs);
-    return std::memcmp(lhs_enc, rhs_enc, 32) == 0;
+    // S*B == R + k*A, tested as S*B - k*A == R in one pass.
+    GeP3 check =
+        geDoubleScalarMultVartime(signature.data() + 32, k_bytes, a_point);
+    return geEqual(check, r_point);
 }
 
 } // namespace hypertee

@@ -4,8 +4,9 @@
  * enclave attestation certificates with the Endorsement Key (EK) and
  * the derived Attestation Key (AK).
  *
- * The implementation favours clarity over side-channel hardening; the
- * simulated EMS is physically isolated, which is the paper's point.
+ * Key generation and signing run in constant time (the fixed-base
+ * comb of ge25519 and a branch-free mod-L reduction); verification
+ * handles only public values and uses a faster variable-time path.
  */
 
 #ifndef HYPERTEE_CRYPTO_ED25519_HH

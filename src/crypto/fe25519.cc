@@ -9,40 +9,29 @@ namespace
 {
 
 using u64 = std::uint64_t;
-using u128 = unsigned __int128;
 
-constexpr u64 mask51 = (u64(1) << 51) - 1;
-
-/** One pass of base-2^51 carry propagation with the mod-p fold. */
+/**
+ * Sequential carry: unlike feCarry, each limb absorbs the carry of
+ * the one below before its own is taken, so limbs 1 to 4 end below
+ * 2^51 exactly, as the byte packing needs.
+ */
 void
 carryPass(Fe &h)
 {
     u64 c;
-    c = h[0] >> 51; h[0] &= mask51; h[1] += c;
-    c = h[1] >> 51; h[1] &= mask51; h[2] += c;
-    c = h[2] >> 51; h[2] &= mask51; h[3] += c;
-    c = h[3] >> 51; h[3] &= mask51; h[4] += c;
-    c = h[4] >> 51; h[4] &= mask51; h[0] += 19 * c;
+    c = h[0] >> 51; h[0] &= kFeMask51; h[1] += c;
+    c = h[1] >> 51; h[1] &= kFeMask51; h[2] += c;
+    c = h[2] >> 51; h[2] &= kFeMask51; h[3] += c;
+    c = h[3] >> 51; h[3] &= kFeMask51; h[4] += c;
+    c = h[4] >> 51; h[4] &= kFeMask51; h[0] += 19 * c;
 }
 
 } // namespace
 
 Fe
-feZero()
-{
-    return {0, 0, 0, 0, 0};
-}
-
-Fe
-feOne()
-{
-    return {1, 0, 0, 0, 0};
-}
-
-Fe
 feFromUint(u64 v)
 {
-    Fe f{v & mask51, (v >> 51) & mask51, 0, 0, 0};
+    Fe f{v & kFeMask51, (v >> 51) & kFeMask51, 0, 0, 0};
     return f;
 }
 
@@ -61,12 +50,12 @@ feFromBytes(const std::uint8_t bytes[32])
     u64 w3 = load64(24);
 
     Fe f;
-    f[0] = w0 & mask51;
-    f[1] = ((w0 >> 51) | (w1 << 13)) & mask51;
-    f[2] = ((w1 >> 38) | (w2 << 26)) & mask51;
-    f[3] = ((w2 >> 25) | (w3 << 39)) & mask51;
+    f[0] = w0 & kFeMask51;
+    f[1] = ((w0 >> 51) | (w1 << 13)) & kFeMask51;
+    f[2] = ((w1 >> 38) | (w2 << 26)) & kFeMask51;
+    f[3] = ((w2 >> 25) | (w3 << 39)) & kFeMask51;
     // The mask drops bit 255 of the encoding, as required.
-    f[4] = (w3 >> 12) & mask51;
+    f[4] = (w3 >> 12) & kFeMask51;
     return f;
 }
 
@@ -84,17 +73,17 @@ feToBytes(std::uint8_t out[32], const Fe &f)
     Fe t = h;
     t[0] += 19;
     u64 c;
-    c = t[0] >> 51; t[0] &= mask51; t[1] += c;
-    c = t[1] >> 51; t[1] &= mask51; t[2] += c;
-    c = t[2] >> 51; t[2] &= mask51; t[3] += c;
-    c = t[3] >> 51; t[3] &= mask51; t[4] += c;
+    c = t[0] >> 51; t[0] &= kFeMask51; t[1] += c;
+    c = t[1] >> 51; t[1] &= kFeMask51; t[2] += c;
+    c = t[2] >> 51; t[2] &= kFeMask51; t[3] += c;
+    c = t[3] >> 51; t[3] &= kFeMask51; t[4] += c;
     u64 ge_p = t[4] >> 51; // 1 iff h + 19 >= 2^255, i.e. h >= p
 
-    if (ge_p) {
-        // h - p = (h + 19) - 2^255
-        t[4] &= mask51;
-        h = t;
-    }
+    // If so, h - p = (h + 19) - 2^255; selected without a branch.
+    t[4] &= kFeMask51;
+    const u64 m = 0 - ge_p;
+    for (int i = 0; i < 5; ++i)
+        h[i] = (h[i] & ~m) | (t[i] & m);
 
     u64 w0 = h[0] | (h[1] << 51);
     u64 w1 = (h[1] >> 13) | (h[2] << 38);
@@ -111,127 +100,56 @@ feToBytes(std::uint8_t out[32], const Fe &f)
     store64(24, w3);
 }
 
-Fe
-feAdd(const Fe &a, const Fe &b)
+namespace
 {
-    Fe h;
-    for (int i = 0; i < 5; ++i)
-        h[i] = a[i] + b[i];
-    carryPass(h);
-    return h;
+
+/** a^(2^n): @p n successive squarings (one out-of-line copy). */
+[[gnu::noinline]] Fe
+feSqN(Fe a, int n)
+{
+    for (int i = 0; i < n; ++i)
+        a = feSq(a);
+    return a;
 }
 
+/**
+ * The shared prefix of the inversion and square-root chains (ref10):
+ * returns a^(2^250 - 1) and sets @p a11 = a^11.
+ */
 Fe
-feSub(const Fe &a, const Fe &b)
+fePow2250m1(const Fe &a, Fe &a11)
 {
-    // Add 2p before subtracting so limbs never underflow.
-    static constexpr u64 two_p0 = 0xfffffffffffdaULL; // 2*(2^51-19)
-    static constexpr u64 two_pi = 0xffffffffffffeULL; // 2*(2^51-1)
-    Fe h;
-    h[0] = a[0] + two_p0 - b[0];
-    h[1] = a[1] + two_pi - b[1];
-    h[2] = a[2] + two_pi - b[2];
-    h[3] = a[3] + two_pi - b[3];
-    h[4] = a[4] + two_pi - b[4];
-    carryPass(h);
-    return h;
+    Fe a2 = feSq(a);                              // 2
+    Fe a9 = feMul(feSqN(a2, 2), a);               // 9
+    a11 = feMul(a9, a2);                          // 11
+    Fe e5 = feMul(feSq(a11), a9);                 // 2^5 - 1
+    Fe e10 = feMul(feSqN(e5, 5), e5);             // 2^10 - 1
+    Fe e20 = feMul(feSqN(e10, 10), e10);          // 2^20 - 1
+    Fe e40 = feMul(feSqN(e20, 20), e20);          // 2^40 - 1
+    Fe e50 = feMul(feSqN(e40, 10), e10);          // 2^50 - 1
+    Fe e100 = feMul(feSqN(e50, 50), e50);         // 2^100 - 1
+    Fe e200 = feMul(feSqN(e100, 100), e100);      // 2^200 - 1
+    return feMul(feSqN(e200, 50), e50);           // 2^250 - 1
 }
 
-Fe
-feNeg(const Fe &a)
-{
-    return feSub(feZero(), a);
-}
-
-Fe
-feMul(const Fe &a, const Fe &b)
-{
-    const u64 a0 = a[0], a1 = a[1], a2 = a[2], a3 = a[3], a4 = a[4];
-    const u64 b0 = b[0], b1 = b[1], b2 = b[2], b3 = b[3], b4 = b[4];
-
-    u128 r0 = (u128)a0 * b0 +
-              (u128)19 * ((u128)a1 * b4 + (u128)a2 * b3 + (u128)a3 * b2 +
-                          (u128)a4 * b1);
-    u128 r1 = (u128)a0 * b1 + (u128)a1 * b0 +
-              (u128)19 * ((u128)a2 * b4 + (u128)a3 * b3 + (u128)a4 * b2);
-    u128 r2 = (u128)a0 * b2 + (u128)a1 * b1 + (u128)a2 * b0 +
-              (u128)19 * ((u128)a3 * b4 + (u128)a4 * b3);
-    u128 r3 = (u128)a0 * b3 + (u128)a1 * b2 + (u128)a2 * b1 +
-              (u128)a3 * b0 + (u128)19 * ((u128)a4 * b4);
-    u128 r4 = (u128)a0 * b4 + (u128)a1 * b3 + (u128)a2 * b2 +
-              (u128)a3 * b1 + (u128)a4 * b0;
-
-    Fe h;
-    u128 c;
-    c = r0 >> 51; r1 += c; h[0] = (u64)r0 & mask51;
-    c = r1 >> 51; r2 += c; h[1] = (u64)r1 & mask51;
-    c = r2 >> 51; r3 += c; h[2] = (u64)r2 & mask51;
-    c = r3 >> 51; r4 += c; h[3] = (u64)r3 & mask51;
-    c = r4 >> 51; h[4] = (u64)r4 & mask51;
-    h[0] += 19 * (u64)c;
-    carryPass(h);
-    return h;
-}
-
-Fe
-feSq(const Fe &a)
-{
-    return feMul(a, a);
-}
-
-Fe
-feMulSmall(const Fe &a, u64 s)
-{
-    u128 c = 0;
-    Fe h;
-    for (int i = 0; i < 5; ++i) {
-        u128 v = (u128)a[i] * s + c;
-        h[i] = (u64)v & mask51;
-        c = v >> 51;
-    }
-    h[0] += 19 * (u64)c;
-    carryPass(h);
-    return h;
-}
-
-Fe
-fePow(const Fe &a, const std::uint8_t exp_be[32])
-{
-    Fe result = feOne();
-    bool started = false;
-    for (int byte = 0; byte < 32; ++byte) {
-        for (int bit = 7; bit >= 0; --bit) {
-            if (started)
-                result = feSq(result);
-            if ((exp_be[byte] >> bit) & 1) {
-                result = feMul(result, a);
-                started = true;
-            }
-        }
-    }
-    return result;
-}
+} // namespace
 
 Fe
 feInvert(const Fe &a)
 {
-    // p - 2 = 2^255 - 21 = 0x7fff...ffeb (big endian)
-    std::uint8_t e[32];
-    std::memset(e, 0xff, sizeof(e));
-    e[0] = 0x7f;
-    e[31] = 0xeb;
-    return fePow(a, e);
+    // p - 2 = 2^255 - 21 = (2^250 - 1) * 2^5 + 11: 254 S + 11 M.
+    Fe a11;
+    Fe e250 = fePow2250m1(a, a11);
+    return feMul(feSqN(e250, 5), a11);
 }
 
 Fe
 fePow2523(const Fe &a)
 {
-    // (p - 5) / 8 = 2^252 - 3 = 0x0fff...fffd (big endian)
-    std::uint8_t e[32];
-    std::memset(e, 0xff, sizeof(e));
-    e[0] = 0x0f;
-    e[31] = 0xfd;
-    return fePow(a, e);
+    // (p - 5) / 8 = 2^252 - 3 = (2^250 - 1) * 2^2 + 1.
+    Fe a11;
+    Fe e250 = fePow2250m1(a, a11);
+    return feMul(feSqN(e250, 2), a);
 }
 
 bool
@@ -262,26 +180,11 @@ feEqual(const Fe &a, const Fe &b)
     return std::memcmp(ba, bb, 32) == 0;
 }
 
-void
-feCswap(Fe &a, Fe &b, bool swap)
-{
-    const u64 m = swap ? ~u64(0) : 0;
-    for (int i = 0; i < 5; ++i) {
-        u64 t = m & (a[i] ^ b[i]);
-        a[i] ^= t;
-        b[i] ^= t;
-    }
-}
-
 Fe
 feSqrtM1()
 {
-    // sqrt(-1) = 2^((p-1)/4); (p-1)/4 = 2^253 - 5 = 0x1fff...fffb.
-    std::uint8_t e[32];
-    std::memset(e, 0xff, sizeof(e));
-    e[0] = 0x1f;
-    e[31] = 0xfb;
-    return fePow(feFromUint(2), e);
+    return {0x61b274a0ea0b0ULL, 0xd5a5fc8f189dULL, 0x7ef5e9cbd0c60ULL,
+            0x78595a6804c9eULL, 0x2b8324804fc1dULL};
 }
 
 } // namespace hypertee

@@ -3,11 +3,28 @@
 #include <cstring>
 
 #include "crypto/fe25519.hh"
+#include "crypto/ge25519.hh"
 #include "sim/logging.hh"
 
 namespace hypertee
 {
 
+namespace
+{
+
+/** RFC 7748 clamping: clear the cofactor bits and fix bit 254. */
+void
+clamp(std::uint8_t k[32], const Bytes &scalar)
+{
+    std::memcpy(k, scalar.data(), 32);
+    k[0] &= 248;
+    k[31] &= 127;
+    k[31] |= 64;
+}
+
+} // namespace
+
+// htlint: hot-loop
 Bytes
 x25519(const Bytes &scalar, const Bytes &point)
 {
@@ -15,10 +32,7 @@ x25519(const Bytes &scalar, const Bytes &point)
             "x25519 arguments must be 32 bytes");
 
     std::uint8_t k[32];
-    std::memcpy(k, scalar.data(), 32);
-    k[0] &= 248;
-    k[31] &= 127;
-    k[31] |= 64;
+    clamp(k, scalar);
 
     const Fe x1 = feFromBytes(point.data());
     Fe x2 = feOne(), z2 = feZero();
@@ -61,9 +75,18 @@ x25519(const Bytes &scalar, const Bytes &point)
 Bytes
 x25519Base(const Bytes &scalar)
 {
-    Bytes base(32, 0);
-    base[0] = 9;
-    return x25519(scalar, base);
+    fatalIf(scalar.size() != 32, "x25519 scalar must be 32 bytes");
+    std::uint8_t k[32];
+    clamp(k, scalar);
+
+    // k * B on edwards25519 with the constant-time comb, then the
+    // birational map to Curve25519: u = (1 + y) / (1 - y), which in
+    // projective coordinates is (Z + Y) / (Z - Y). B maps to u = 9.
+    GeP3 p = geScalarMultBase(k);
+    Fe u = feMul(feAdd(p.z, p.y), feInvert(feSub(p.z, p.y)));
+    Bytes result(32);
+    feToBytes(result.data(), u);
+    return result;
 }
 
 } // namespace hypertee

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "crypto/bytes.hh"
 #include "crypto/x25519.hh"
 #include "sim/random.hh"
@@ -55,6 +57,51 @@ TEST(X25519, Rfc7748SharedSecret)
                            "e07e21c947d19e3376f09b3c1e161742");
     EXPECT_EQ(x25519(a, b_pub), shared);
     EXPECT_EQ(x25519(b, a_pub), shared);
+}
+
+/** RFC 7748 5.2: k, u <- X25519(k, u), k, starting from k = u = 9. */
+std::string
+iterated(int rounds)
+{
+    Bytes k(32, 0), u(32, 0);
+    k[0] = 9;
+    u[0] = 9;
+    for (int i = 0; i < rounds; ++i) {
+        Bytes next = x25519(k, u);
+        u = k;
+        k = next;
+    }
+    return toHex(k);
+}
+
+TEST(X25519, Rfc7748IteratedOnce)
+{
+    EXPECT_EQ(iterated(1), "422c8e7a6227d7bca1350b3e2bb7279f"
+                           "7897b87bb6854b783c60e80311ae3079");
+}
+
+TEST(X25519, Rfc7748IteratedThousand)
+{
+    EXPECT_EQ(iterated(1000), "684cf59ba83309552800ef566f2f4d3c"
+                              "1c3887c49360e3875f2eb94d99532c51");
+}
+
+TEST(X25519, FixedBaseMatchesLadder)
+{
+    // x25519Base takes the edwards25519 comb; x25519(k, 9) the
+    // Montgomery ladder. Both must agree on every scalar.
+    Bytes nine(32, 0);
+    nine[0] = 9;
+    std::vector<Bytes> scalars = {Bytes(32, 0), Bytes(32, 0xff)};
+    Random rng(7748);
+    for (int i = 0; i < 512; ++i) {
+        Bytes k(32);
+        for (auto &b : k)
+            b = static_cast<std::uint8_t>(rng.next());
+        scalars.push_back(k);
+    }
+    for (const Bytes &k : scalars)
+        EXPECT_EQ(toHex(x25519Base(k)), toHex(x25519(k, nine))) << toHex(k);
 }
 
 TEST(X25519, DiffieHellmanAgreesForRandomKeys)
