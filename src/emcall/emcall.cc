@@ -30,20 +30,16 @@ EmCall::invoke(PrimitiveOp op, PrivMode mode,
     // The gate owns the round trip, so it owns the trace span: one
     // "EMCALL <prim>" span covers gate entry -> mailbox enqueue ->
     // doorbell/EMS service -> response poll -> gate exit, with the
-    // mailbox and EMS events nesting inside it on the timeline.
+    // mailbox and EMS events nesting inside it on the timeline. It is
+    // recorded on the way out, once the round-trip latency is known.
     auto &trace = TraceSink::global();
-    const bool tracing = trace.on(TraceCategory::EmCall);
     const Tick t0 = trace.now();
-    const std::string span_name =
-        tracing ? std::string("EMCALL ") + primitiveName(op)
-                : std::string();
-    if (tracing)
-        trace.begin(TraceCategory::EmCall, span_name, t0);
 
     auto close_span = [&](bool accepted) {
-        if (tracing) {
-            trace.end(TraceCategory::EmCall, span_name,
-                      t0 + result.latency);
+        if (trace.on(TraceCategory::EmCall)) {
+            trace.span(TraceCategory::EmCall,
+                       std::string("EMCALL ") + primitiveName(op), t0,
+                       t0 + result.latency);
             trace.arg("accepted", accepted ? 1.0 : 0.0);
         }
         // Keep the timeline moving even when only other categories

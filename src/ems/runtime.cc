@@ -248,16 +248,14 @@ EmsRuntime::handle(const PrimitiveRequest &req)
     if (!trace.on(TraceCategory::Ems))
         return handleImpl(req);
 
-    // One span per primitive: [now, now + modelled service time].
-    // The end timestamp is only known after the handler ran, which
-    // is fine — Chrome/Perfetto order by ts, not emission order.
+    // One span per primitive: [now, now + modelled service time],
+    // recorded after the handler ran, when its end is known.
     const Tick ts = trace.now();
-    const std::string name =
-        std::string("EMS ") + primitiveName(req.op);
-    trace.begin(TraceCategory::Ems, name, ts);
-    trace.arg("reqId", static_cast<double>(req.reqId));
     PrimitiveResponse resp = handleImpl(req);
-    trace.end(TraceCategory::Ems, name, ts + resp.completedAt);
+    trace.span(TraceCategory::Ems,
+               std::string("EMS ") + primitiveName(req.op), ts,
+               ts + resp.completedAt);
+    trace.arg("reqId", static_cast<double>(req.reqId));
     trace.arg("status",
               static_cast<double>(static_cast<unsigned>(resp.status)));
     return resp;

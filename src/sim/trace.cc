@@ -184,45 +184,39 @@ TraceSink::StringArena::intern(std::string_view s)
     return std::string_view(dst, s.size());
 }
 
-bool
+void
 TraceSink::record(TraceCategory cat, char phase, std::string_view name,
-                  Tick ts)
+                  Tick ts, Tick dur)
 {
     // The macros pre-check on(), but direct callers get the same
     // gating: a disabled sink (or category) records nothing.
     if (!on(cat)) {
         t_lastIndex = noLastEvent;
-        return false;
+        return;
     }
     std::lock_guard<std::mutex> lock(_mutex);
     if (_events.size() >= _capacity) {
         _dropped.fetch_add(1, std::memory_order_relaxed);
         t_lastIndex = noLastEvent;
-        return false;
+        return;
     }
-    _events.push_back(
-        TraceEvent{phase, cat, _arena.intern(name), ts, t_shard, {}});
+    _events.push_back(TraceEvent{phase, cat, _arena.intern(name), ts,
+                                 dur, t_shard, {}});
     t_lastIndex = _events.size() - 1;
     t_lastGeneration = _generation;
-    return true;
 }
 
 void
-TraceSink::begin(TraceCategory cat, std::string_view name, Tick ts)
+TraceSink::span(TraceCategory cat, std::string_view name, Tick start,
+                Tick end)
 {
-    record(cat, 'B', name, ts);
-}
-
-void
-TraceSink::end(TraceCategory cat, std::string_view name, Tick ts)
-{
-    record(cat, 'E', name, ts);
+    record(cat, 'X', name, start, end - start);
 }
 
 void
 TraceSink::instant(TraceCategory cat, std::string_view name, Tick ts)
 {
-    record(cat, 'i', name, ts);
+    record(cat, 'i', name, ts, 0);
 }
 
 void
@@ -272,6 +266,10 @@ TraceSink::writeJson(std::ostream &os) const
         // Chrome expects microseconds; ticks are picoseconds.
         os << ",\"ts\":";
         writeJsonNumber(os, static_cast<double>(ev.ts) / 1e6);
+        if (ev.phase == 'X') {
+            os << ",\"dur\":";
+            writeJsonNumber(os, static_cast<double>(ev.dur) / 1e6);
+        }
         os << ",\"pid\":0,\"tid\":" << ev.tid;
         if (!ev.args.empty()) {
             os << ",\"args\":{";

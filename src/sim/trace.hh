@@ -3,17 +3,23 @@
  * Primitive-level trace events (Chrome trace_event format).
  *
  * Every headline number in the paper is a measurement of where cycles
- * go inside an enclave-management round trip; this sink records
- * begin/end/instant events with tick timestamps so a single bench run
- * can be opened in Perfetto / chrome://tracing and show the full life
- * of every EMCall primitive: gate entry, mailbox enqueue, doorbell,
- * EMS handler span, response poll, gate exit.
+ * go inside an enclave-management round trip; this sink records span
+ * and instant events with tick timestamps so a single bench run can
+ * be opened in Perfetto / chrome://tracing and show the full life of
+ * every EMCall primitive: gate entry, mailbox enqueue, doorbell, EMS
+ * handler span, response poll, gate exit.
+ *
+ * A span is one Chrome "complete" event ("ph":"X", a start and a
+ * duration), recorded once both ends are known, so a trace can never
+ * hold an unclosed span. Spans nest on the timeline by interval,
+ * whatever order they were recorded in.
  *
  * Design constraints:
- *  - zero cost when disabled: instrumentation sites go through the
+ *  - zero cost when disabled: instant sites go through the
  *    HT_TRACE_* macros, which compile out entirely under
  *    -DHYPERTEE_TRACE_DISABLED and otherwise reduce to two boolean
- *    loads when the sink (or the event's category) is off;
+ *    loads when the sink (or the event's category) is off; the span
+ *    sites make the same on() check before building a name;
  *  - the functional model has no global clock, so the sink keeps a
  *    monotonic timeline cursor that the EMCall gate (the component
  *    that owns round-trip latency) advances; instrumented components
@@ -115,10 +121,11 @@ class TraceArgList
  */
 struct TraceEvent
 {
-    char phase; ///< 'B' begin, 'E' end, 'i' instant
+    char phase; ///< 'X' complete (span), 'i' instant
     TraceCategory cat;
     std::string_view name;
     Tick ts;
+    Tick dur = 0; ///< span length ('X' only)
     /** Recording shard id (Chrome "tid"); 0 outside shard bodies. */
     unsigned tid = 0;
     /** Optional numeric arguments rendered into the "args" object. */
@@ -184,8 +191,9 @@ class TraceSink
     }
 
     // ---- recording (thread-safe) ----
-    void begin(TraceCategory cat, std::string_view name, Tick ts);
-    void end(TraceCategory cat, std::string_view name, Tick ts);
+    /** One span covering [@p start, @p end] (end >= start). */
+    void span(TraceCategory cat, std::string_view name, Tick start,
+              Tick end);
     void instant(TraceCategory cat, std::string_view name, Tick ts);
     /**
      * Attach a numeric argument to the most recent event *recorded
@@ -230,8 +238,8 @@ class TraceSink
     bool writeJsonFile(const std::string &path) const;
 
   private:
-    bool record(TraceCategory cat, char phase, std::string_view name,
-                Tick ts);
+    void record(TraceCategory cat, char phase, std::string_view name,
+                Tick ts, Tick dur);
 
     /**
      * Chunked string storage backing TraceEvent::name views. Chunks
@@ -276,20 +284,6 @@ class TraceSink
 // (default) disabled configuration.
 #ifndef HYPERTEE_TRACE_DISABLED
 
-#define HT_TRACE_BEGIN(cat, name, ts)                                    \
-    do {                                                                 \
-        auto &ht_sink_ = ::hypertee::TraceSink::global();                \
-        if (ht_sink_.on(cat))                                            \
-            ht_sink_.begin(cat, name, ts);                               \
-    } while (0)
-
-#define HT_TRACE_END(cat, name, ts)                                      \
-    do {                                                                 \
-        auto &ht_sink_ = ::hypertee::TraceSink::global();                \
-        if (ht_sink_.on(cat))                                            \
-            ht_sink_.end(cat, name, ts);                                 \
-    } while (0)
-
 #define HT_TRACE_INSTANT(cat, name, ts)                                  \
     do {                                                                 \
         auto &ht_sink_ = ::hypertee::TraceSink::global();                \
@@ -309,8 +303,6 @@ class TraceSink
 
 #else
 
-#define HT_TRACE_BEGIN(cat, name, ts) ((void)0)
-#define HT_TRACE_END(cat, name, ts) ((void)0)
 #define HT_TRACE_INSTANT(cat, name, ts) ((void)0)
 #define HT_TRACE_INSTANT1(cat, name, ts, key, value) ((void)0)
 

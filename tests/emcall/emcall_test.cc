@@ -1,9 +1,10 @@
-/** @file EMCall gate tests (privilege, binding, obfuscation). */
+/** @file EMCall gate tests (privilege, binding, obfuscation, trace). */
 
 #include <gtest/gtest.h>
 
 #include "core/system.hh"
 #include "emcall/emcall.hh"
+#include "sim/trace.hh"
 
 namespace hypertee
 {
@@ -115,6 +116,65 @@ TEST_F(GateTest, TracksIssuedRequests)
     sys.emCall(0).invoke(PrimitiveOp::ECreate, PrivMode::User,
                          {4, 8, 64}); // blocked, not issued
     EXPECT_EQ(sys.emCall(0).requestsIssued(), 1u);
+}
+
+/** Records into the global trace sink for one test. */
+struct GateTraceTest : GateTest
+{
+    GateTraceTest() { TraceSink::global().setEnabled(true); }
+    ~GateTraceTest() override
+    {
+        TraceSink::global().setEnabled(false);
+        TraceSink::global().clear();
+    }
+
+    static std::vector<TraceEvent>
+    spansOf(TraceCategory cat)
+    {
+        std::vector<TraceEvent> out;
+        for (const TraceEvent &ev : TraceSink::global().events())
+            if (ev.cat == cat && ev.phase == 'X')
+                out.push_back(ev);
+        return out;
+    }
+};
+
+TEST_F(GateTraceTest, RoundTripIsOneSpanLastingTheLatency)
+{
+    InvokeResult r = sys.emCall(0).invoke(
+        PrimitiveOp::ECreate, PrivMode::Supervisor, {4, 8, 64});
+    ASSERT_TRUE(r.accepted);
+    auto gate = spansOf(TraceCategory::EmCall);
+    ASSERT_EQ(gate.size(), 1u);
+    EXPECT_EQ(gate[0].name, "EMCALL ECREATE");
+    EXPECT_EQ(gate[0].dur, r.latency);
+    ASSERT_EQ(gate[0].args.size(), 1u);
+    EXPECT_EQ(gate[0].args[0].first, "accepted");
+    EXPECT_EQ(gate[0].args[0].second, 1.0);
+
+    // The EMS handler span carries the request id and the status on
+    // one event, and nests inside the round trip.
+    auto ems = spansOf(TraceCategory::Ems);
+    ASSERT_EQ(ems.size(), 1u);
+    EXPECT_EQ(ems[0].dur, r.response.completedAt);
+    ASSERT_EQ(ems[0].args.size(), 2u);
+    EXPECT_EQ(ems[0].args[0].first, "reqId");
+    EXPECT_EQ(ems[0].args[1].first, "status");
+    EXPECT_GE(ems[0].ts, gate[0].ts);
+    EXPECT_LE(ems[0].ts + ems[0].dur, gate[0].ts + gate[0].dur);
+}
+
+TEST_F(GateTraceTest, BlockedCallIsOneRejectedSpan)
+{
+    InvokeResult r = sys.emCall(0).invoke(
+        PrimitiveOp::ECreate, PrivMode::User, {4, 8, 64});
+    ASSERT_FALSE(r.accepted);
+    auto gate = spansOf(TraceCategory::EmCall);
+    ASSERT_EQ(gate.size(), 1u);
+    EXPECT_EQ(gate[0].dur, r.latency);
+    ASSERT_EQ(gate[0].args.size(), 1u);
+    EXPECT_EQ(gate[0].args[0].second, 0.0); // accepted = 0
+    EXPECT_TRUE(spansOf(TraceCategory::Ems).empty());
 }
 
 } // namespace

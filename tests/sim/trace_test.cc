@@ -16,29 +16,43 @@ TEST(TraceSink, DisabledByDefaultRecordsNothing)
 {
     TraceSink sink;
     EXPECT_FALSE(sink.enabled());
-    sink.begin(TraceCategory::EmCall, "span", 0);
-    sink.end(TraceCategory::EmCall, "span", 10);
+    sink.span(TraceCategory::EmCall, "span", 0, 10);
     sink.instant(TraceCategory::Mailbox, "evt", 5);
     EXPECT_EQ(sink.eventCount(), 0u);
+}
+
+TEST(TraceSink, SpanIsOneCompleteEventCarryingItsArgs)
+{
+    TraceSink sink;
+    sink.setEnabled(true);
+    sink.span(TraceCategory::Ems, "EMS ECREATE", 100, 900);
+    sink.arg("reqId", 7);
+    sink.arg("status", 0);
+
+    ASSERT_EQ(sink.eventCount(), 1u);
+    const TraceEvent ev = sink.events()[0];
+    EXPECT_EQ(ev.phase, 'X');
+    EXPECT_EQ(ev.name, "EMS ECREATE");
+    EXPECT_EQ(ev.ts, Tick(100));
+    EXPECT_EQ(ev.dur, Tick(800));
+    ASSERT_EQ(ev.args.size(), 2u);
+    EXPECT_EQ(ev.args[0].first, "reqId");
+    EXPECT_EQ(ev.args[1].first, "status");
 }
 
 TEST(TraceSink, RecordsEventsInOrder)
 {
     TraceSink sink;
     sink.setEnabled(true);
-    sink.begin(TraceCategory::EmCall, "EMCALL ECREATE", 100);
     sink.instant(TraceCategory::Mailbox, "mailbox.push", 150);
-    sink.end(TraceCategory::EmCall, "EMCALL ECREATE", 900);
+    sink.span(TraceCategory::EmCall, "EMCALL ECREATE", 100, 900);
 
-    ASSERT_EQ(sink.eventCount(), 3u);
-    const auto &ev = sink.events();
-    EXPECT_EQ(ev[0].phase, 'B');
-    EXPECT_EQ(ev[0].name, "EMCALL ECREATE");
-    EXPECT_EQ(ev[0].ts, Tick(100));
-    EXPECT_EQ(ev[1].phase, 'i');
-    EXPECT_EQ(ev[1].cat, TraceCategory::Mailbox);
-    EXPECT_EQ(ev[2].phase, 'E');
-    EXPECT_EQ(ev[2].ts, Tick(900));
+    ASSERT_EQ(sink.eventCount(), 2u);
+    const auto ev = sink.events();
+    EXPECT_EQ(ev[0].phase, 'i');
+    EXPECT_EQ(ev[0].cat, TraceCategory::Mailbox);
+    EXPECT_EQ(ev[1].phase, 'X');
+    EXPECT_EQ(ev[1].ts, Tick(100));
 }
 
 TEST(TraceSink, DisabledCategoryIsSkipped)
@@ -48,6 +62,7 @@ TEST(TraceSink, DisabledCategoryIsSkipped)
     // Mmu defaults to off (high volume).
     EXPECT_FALSE(sink.categoryEnabled(TraceCategory::Mmu));
     sink.instant(TraceCategory::Mmu, "mmu.tlbMiss", 1);
+    sink.span(TraceCategory::Mmu, "mmu.walk", 1, 5);
     EXPECT_EQ(sink.eventCount(), 0u);
 
     sink.setCategoryEnabled(TraceCategory::Mmu, true);
@@ -98,22 +113,24 @@ TEST(TraceSink, WriteJsonIsValidAndComplete)
 {
     TraceSink sink;
     sink.setEnabled(true);
-    sink.begin(TraceCategory::Ems, "EMS \"ECREATE\"", 1'000'000);
+    sink.span(TraceCategory::Ems, "EMS \"ECREATE\"", 1'000'000,
+              3'500'000);
     sink.arg("reqId", 7);
-    sink.end(TraceCategory::Ems, "EMS \"ECREATE\"", 2'000'000);
+    sink.instant(TraceCategory::Mailbox, "mailbox.push", 2'000'000);
 
     std::ostringstream os;
     sink.writeJson(os);
     std::string json = os.str();
     EXPECT_TRUE(jsonLooksValid(json)) << json;
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-    EXPECT_NE(json.find("\"ph\":\"B\""), std::string::npos);
-    EXPECT_NE(json.find("\"ph\":\"E\""), std::string::npos);
+    // 1e6 ticks (ps) = 1 us; the span lasts 2.5 us, instants no time.
+    EXPECT_NE(json.find("\"ph\":\"X\",\"ts\":1,\"dur\":2.5"),
+              std::string::npos);
+    EXPECT_NE(json.find("\"ph\":\"i\",\"ts\":2,\"pid\""),
+              std::string::npos);
     // Quotes in the span name must be escaped.
     EXPECT_NE(json.find("EMS \\\"ECREATE\\\""), std::string::npos);
     EXPECT_NE(json.find("\"reqId\""), std::string::npos);
-    // 1e6 ticks (ps) = 1 us.
-    EXPECT_NE(json.find("\"ts\":1"), std::string::npos);
 }
 
 TEST(TraceSink, ClearResetsEverything)
@@ -136,9 +153,9 @@ TEST(TraceMacros, NoOpWhenGlobalSinkDisabled)
     auto &sink = TraceSink::global();
     sink.clear();
     sink.setEnabled(false);
-    HT_TRACE_BEGIN(TraceCategory::EmCall, "span", 0);
+    HT_TRACE_INSTANT(TraceCategory::EmCall, "evt", 0);
     HT_TRACE_INSTANT1(TraceCategory::Mailbox, "evt", 1, "k", 2);
-    HT_TRACE_END(TraceCategory::EmCall, "span", 3);
+    sink.span(TraceCategory::EmCall, "span", 0, 3);
     EXPECT_EQ(sink.eventCount(), 0u);
 }
 

@@ -1,11 +1,12 @@
-// Fixture: shard-isolation violations. Linted under a pretend
-// shard-managed path (src/sim/parallel_pool.cc), this file must
-// produce four findings: a global Random, a static EventQueue, a
-// static function-local Random, and a singleton accessor call.
+// Fixture: the shared-state findings of the retired shard-isolation
+// rule, now reached from a shard body. Linted under src/ or bench/,
+// shard-escape must report each of the four: a global Random, a
+// static EventQueue, a static function-local Random, and the
+// function-local static behind a singleton that has no lock.
 
 #include "sim/event_queue.hh"
 #include "sim/random.hh"
-#include "sim/trace.hh"
+#include "sim/shard.hh"
 
 namespace hypertee
 {
@@ -22,11 +23,26 @@ pickWorker()
     return static_cast<unsigned>(worker_rng.next() % 8);
 }
 
-void
-enableTracing()
+// A process-wide registry with no lock: every shard bumps one count.
+struct Registry
 {
-    // Shard-managed code reaching for a process-wide singleton.
-    TraceSink::global().setEnabled(true);
+    static Registry &
+    instance()
+    {
+        static Registry registry;
+        return registry;
+    }
+
+    unsigned hits = 0;
+};
+
+void
+shardBody(ShardContext &)
+{
+    g_rng.next();
+    g_queue.now();
+    pickWorker();
+    ++Registry::instance().hits;
 }
 
 } // namespace hypertee

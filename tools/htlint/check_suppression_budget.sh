@@ -13,7 +13,7 @@ budget_file=$root/tools/htlint/suppression-budget.txt
 
 budget=$(tr -cd '0-9' < "$budget_file")
 actual=$(cd "$root" && "$htlint" --jobs=4 --list-suppressions \
-             src bench tools tests |
+             src bench tools tests examples |
          sed -n 's/^htlint: \([0-9][0-9]*\) suppression(s).*/\1/p')
 
 if [ -z "$actual" ]; then

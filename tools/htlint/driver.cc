@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <thread>
 
 #include "tools/htlint/callgraph.hh"
@@ -212,7 +211,6 @@ editDistance(const std::string &a, const std::string &b)
 
 const char usage[] =
     "usage: htlint [--rules=r1,r2] [--format=text|sarif]\n"
-    "              [--baseline=FILE] [--write-baseline=FILE]\n"
     "              [--jobs=N] [--no-default-excludes] [--stats]\n"
     "              [--list-rules] [--list-suppressions]\n"
     "              <files-or-dirs>...\n";
@@ -233,46 +231,7 @@ checkRuleName(const std::string &name, const char *what,
     return false;
 }
 
-/** Escape one baseline-key field: the separator is a tab, so tabs,
- *  newlines, and the escape character itself must be encoded. */
-std::string
-escapeBaselineField(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '\\':
-            out += "\\\\";
-            break;
-          case '\t':
-            out += "\\t";
-            break;
-          case '\n':
-            out += "\\n";
-            break;
-          default:
-            out += c;
-        }
-    }
-    return out;
-}
-
 } // namespace
-
-std::string
-baselineKey(const Diagnostic &d)
-{
-    return escapeBaselineField(d.rule) + "\t" +
-           escapeBaselineField(d.file) + "\t" +
-           escapeBaselineField(d.message);
-}
-
-std::string
-legacyBaselineKey(const Diagnostic &d)
-{
-    return d.rule + "|" + d.file + "|" + d.message;
-}
 
 std::string
 closestRuleName(const std::string &name)
@@ -325,10 +284,6 @@ parseArgs(int argc, const char *const *argv, Options &opts,
                     << "' (expected text or sarif)\n";
                 return false;
             }
-        } else if (arg.rfind("--baseline=", 0) == 0) {
-            opts.baselinePath = arg.substr(11);
-        } else if (arg.rfind("--write-baseline=", 0) == 0) {
-            opts.writeBaselinePath = arg.substr(17);
         } else if (arg.rfind("--jobs=", 0) == 0) {
             try {
                 opts.jobs = std::stoi(arg.substr(7));
@@ -528,48 +483,6 @@ runHtlint(const Options &opts, std::ostream &out, std::ostream &err)
         err << buf;
     }
 
-    if (!opts.writeBaselinePath.empty()) {
-        std::ofstream bl(opts.writeBaselinePath);
-        if (!bl) {
-            err << "htlint: cannot write baseline '"
-                << opts.writeBaselinePath << "'\n";
-            return 2;
-        }
-        for (const Diagnostic &d : diags)
-            bl << baselineKey(d) << "\n";
-        out << "htlint: wrote " << diags.size()
-            << " finding(s) to baseline " << opts.writeBaselinePath
-            << "\n";
-        return 0;
-    }
-
-    std::size_t baselined = 0;
-    if (!opts.baselinePath.empty()) {
-        std::ifstream bl(opts.baselinePath);
-        if (!bl) {
-            err << "htlint: cannot read baseline '"
-                << opts.baselinePath << "'\n";
-            return 2;
-        }
-        std::set<std::string> known;
-        std::string line;
-        while (std::getline(bl, line))
-            if (!line.empty())
-                known.insert(line);
-        std::vector<Diagnostic> fresh;
-        for (Diagnostic &d : diags) {
-            // Accept both the current escaped-tab key and the old
-            // `rule|file|message` format, so existing baselines
-            // keep filtering after an htlint upgrade.
-            if (known.count(baselineKey(d)) ||
-                known.count(legacyBaselineKey(d)))
-                ++baselined;
-            else
-                fresh.push_back(std::move(d));
-        }
-        diags = std::move(fresh);
-    }
-
     if (opts.format == "sarif") {
         writeSarif(diags, out);
         return diags.empty() ? 0 : 1;
@@ -579,10 +492,7 @@ runHtlint(const Options &opts, std::ostream &out, std::ostream &err)
         out << d.file << ":" << d.line << ": [" << d.rule << "] "
             << d.message << "\n";
     if (diags.empty()) {
-        out << "htlint: clean (" << files.size() << " files";
-        if (baselined)
-            out << ", " << baselined << " baselined finding(s)";
-        out << ")\n";
+        out << "htlint: clean (" << files.size() << " files)\n";
         return 0;
     }
     out << "htlint: " << diags.size() << " violation(s) in "

@@ -27,10 +27,6 @@ struct Options
     bool listSuppressions = false;
     /** "text" (default) or "sarif" (SARIF 2.1.0 on stdout). */
     std::string format = "text";
-    /** Known-findings file: matches are filtered out (exit 0). */
-    std::string baselinePath;
-    /** Write the current findings as a new baseline and exit 0. */
-    std::string writeBaselinePath;
     /** Parallel file-loading threads; 1 = serial. */
     int jobs = 1;
     /** Print per-phase wall times (collect/load/index/callgraph/
@@ -60,21 +56,6 @@ collectFiles(const std::vector<std::string> &paths, std::ostream &err,
  * mean" hints; "" when nothing is plausibly close.
  */
 std::string closestRuleName(const std::string &name);
-
-/**
- * The stable identity of a finding across line-number churn:
- * tab-separated rule/file/message with backslash, tab, and newline
- * escaped, so a `|` (or anything else) inside a message can never
- * collide with the field separator.
- */
-std::string baselineKey(const Diagnostic &d);
-
-/**
- * The pre-escaping `rule|file|message` key. Baselines written by
- * older htlint versions still match through it; new baselines are
- * written with baselineKey() only.
- */
-std::string legacyBaselineKey(const Diagnostic &d);
 
 /**
  * Run the linter: load every file, run the selected rules, print

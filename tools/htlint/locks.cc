@@ -992,13 +992,6 @@ checkAtomicSanity(const Project &proj, std::vector<Diagnostic> &out)
 namespace
 {
 
-/** Fundamental-type spellings a declaration may start with. */
-bool
-isTypeish(const Token &t)
-{
-    return t.kind == TokKind::Identifier;
-}
-
 bool
 isDeclKeyword(const std::string &s)
 {
@@ -1022,12 +1015,19 @@ isSyncType(const std::string &s)
            s == "atomic_int" || s == "atomic_uint64_t";
 }
 
-/** One shared mutable variable the rule tracks. */
+/** Simulation state a shard must own: a worker runs many shards in
+ *  turn, so even a thread_local instance is shared between them. */
+bool
+isShardStateType(const std::string &s)
+{
+    return s == "Random" || s == "EventQueue";
+}
+
+/** Where a shared mutable variable the rule tracks is declared. */
 struct SharedVar
 {
     std::string file;
     int line = 0;
-    bool functionLocalStatic = false;
 };
 
 /**
@@ -1136,8 +1136,8 @@ checkShardEscape(const Project &proj, std::vector<Diagnostic> &out)
 
     // ---- shared mutable state: namespace-scope non-const
     // variables in src|bench (excluding sync types, mutex-owning
-    // classes, thread_local -- per-shard by construction -- and
-    // type aliases).
+    // classes, type aliases, and thread_local scratch other than
+    // Random/EventQueue -- per-worker by design).
     std::map<std::string, SharedVar> shared;
     for (std::size_t fi = 0; fi < files.size(); ++fi) {
         const SourceFile &f = *files[fi];
@@ -1151,9 +1151,9 @@ checkShardEscape(const Project &proj, std::vector<Diagnostic> &out)
                 continue;
             const std::string &next = toks[i + 1].text;
             if (next != "=" && next != ";" && next != "{" &&
-                next != "[")
+                next != "[" && next != "(")
                 continue;
-            if (!isTypeish(toks[i - 1]) ||
+            if (toks[i - 1].kind != TokKind::Identifier ||
                 isDeclKeyword(toks[i - 1].text) ||
                 isSyncType(toks[i - 1].text) ||
                 safeTypes.count(toks[i - 1].text))
@@ -1165,14 +1165,18 @@ checkShardEscape(const Project &proj, std::vector<Diagnostic> &out)
                 f.blocks()[static_cast<std::size_t>(b)].kind !=
                     Block::Kind::Namespace)
                 continue; // members, enumerators, initializers
-            // Qualifiers: const/constexpr are immutable,
-            // thread_local is shard-owned, template args and
-            // alias/typedef heads are not variables.
+            if (next == "(" && f.declaresFunction(i))
+                continue;
+            // Qualifiers: const/constexpr are immutable, template
+            // args and alias/typedef heads are not variables.
             bool mutable_var = true;
             for (std::size_t k = i; k-- > 0;) {
                 const std::string &p = toks[k].text;
-                if (p == "const" || p == "constexpr" ||
-                    p == "thread_local" || p == "using" ||
+                if (p == "thread_local") {
+                    mutable_var = isShardStateType(toks[i - 1].text);
+                    break;
+                }
+                if (p == "const" || p == "constexpr" || p == "using" ||
                     p == "typedef" || p == "extern") {
                     mutable_var = p == "extern";
                     break;
@@ -1183,8 +1187,7 @@ checkShardEscape(const Project &proj, std::vector<Diagnostic> &out)
             }
             if (!mutable_var)
                 continue;
-            shared.emplace(t.text, SharedVar{f.relPath(), t.line,
-                                             false});
+            shared.emplace(t.text, SharedVar{f.relPath(), t.line});
         }
     }
 
@@ -1222,21 +1225,24 @@ checkShardEscape(const Project &proj, std::vector<Diagnostic> &out)
                 continue;
 
             // Function-local static mutable state.
-            if (t.text == "static") {
+            if (t.text == "static" || (t.text == "thread_local" &&
+                                       toks[i - 1].text != "static")) {
+                bool immutable = false;
+                bool per_worker = t.text == "thread_local";
                 std::size_t j = i + 1;
-                bool safe = false;
-                while (j < toks.size() &&
-                       (toks[j].text == "const" ||
-                        toks[j].text == "constexpr" ||
-                        toks[j].text == "thread_local")) {
-                    safe = true;
-                    ++j;
+                for (; j < toks.size(); ++j) {
+                    const std::string &q = toks[j].text;
+                    if (q == "const" || q == "constexpr")
+                        immutable = true;
+                    else if (q == "thread_local")
+                        per_worker = true;
+                    else
+                        break;
                 }
-                if (safe || j + 1 >= toks.size() ||
-                    toks[j].kind != TokKind::Identifier)
-                    continue;
-                if (isSyncType(toks[j].text) ||
-                    safeTypes.count(toks[j].text))
+                if (immutable || j + 1 >= toks.size() ||
+                    toks[j].kind != TokKind::Identifier ||
+                    (per_worker && !isShardStateType(toks[j].text)) ||
+                    isSyncType(toks[j].text) || safeTypes.count(toks[j].text))
                     continue;
                 Diagnostic d;
                 d.file = f.relPath();

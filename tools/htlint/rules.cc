@@ -145,12 +145,6 @@ rangeHasGuard(const SourceFile &f, std::size_t open, std::size_t close)
     return false;
 }
 
-bool
-inSrcOrBenchPath(const std::string &rel)
-{
-    return startsWith(rel, "src/") || startsWith(rel, "bench/");
-}
-
 /** CS-side dirs whose unguarded roots are mediation violations. */
 bool
 isMediationOrigin(const std::string &rel)
@@ -253,7 +247,7 @@ checkMediationPath(const Project &proj, std::vector<Diagnostic> &out)
                     const SourceFile &cf =
                         *files[static_cast<std::size_t>(
                             site.fileIdx)];
-                    if (!inSrcOrBenchPath(cf.relPath()))
+                    if (!inSrcOrBench(cf))
                         continue; // test-only edge
                     has_caller = true;
                     if (e.callerFn < 0) {
@@ -481,7 +475,7 @@ checkSeedFlow(const Project &proj, std::vector<Diagnostic> &out)
 
             // The three construction shapes: `Random(...)`
             // temporaries, `Random name(...)`/`Random name{...}`
-            // locals, and make_shared/make_unique<Random>(...).
+            // locals and globals, and make_shared/make_unique<Random>.
             std::size_t arg_open = 0;
             if (t.text == "Random") {
                 if (i > 0 && (toks[i - 1].text == "class" ||
@@ -498,8 +492,13 @@ checkSeedFlow(const Project &proj, std::vector<Diagnostic> &out)
                            toks[i + 1].kind == TokKind::Identifier &&
                            (toks[i + 2].text == "(" ||
                             toks[i + 2].text == "{")) {
-                    if (f.enclosingFunction(i) < 0)
-                        continue; // function declaration
+                    // Skip functions, and members: constructors seed them.
+                    int b = f.enclosingBlock(i);
+                    if ((b >= 0 &&
+                         f.blocks()[static_cast<std::size_t>(b)].kind ==
+                             Block::Kind::Type) ||
+                        f.declaresFunction(i + 1))
+                        continue;
                     arg_open = i + 2;
                 } else {
                     continue;
@@ -695,53 +694,6 @@ checkNoWallclock(const SourceFile &f, const Project &,
     }
 }
 
-// ---------------------------------------------------------- trace-pairing
-
-void
-checkTracePairing(const SourceFile &f, const Project &,
-                  std::vector<Diagnostic> &out)
-{
-    const auto &toks = f.tokens();
-    for (const Block &blk : f.blocks()) {
-        if (blk.kind != Block::Kind::Function)
-            continue;
-        int begins = 0;
-        int ends = 0;
-        for (std::size_t i = blk.open + 1;
-             i < blk.close && i < toks.size(); ++i) {
-            const Token &t = toks[i];
-            if (t.inDirective || t.kind != TokKind::Identifier)
-                continue;
-            // Only count macros/calls belonging to *this* function,
-            // not to nested function definitions (local classes).
-            if (f.enclosingFunction(i) !=
-                static_cast<int>(&blk - f.blocks().data()))
-                continue;
-            if (t.text == "HT_TRACE_BEGIN") {
-                ++begins;
-            } else if (t.text == "HT_TRACE_END") {
-                ++ends;
-            } else if ((t.text == "begin" || t.text == "end") &&
-                       i > 0 && i + 2 < toks.size() &&
-                       (toks[i - 1].text == "." ||
-                        toks[i - 1].text == "->") &&
-                       toks[i + 1].text == "(" &&
-                       toks[i + 2].text == "TraceCategory") {
-                // TraceSink::begin/end called directly.
-                (t.text == "begin" ? begins : ends)++;
-            }
-        }
-        if (begins != ends)
-            report(out, f, toks[blk.open].line, "trace-pairing",
-                   "function '" + blk.name + "' opens " +
-                       std::to_string(begins) +
-                       " trace span(s) but closes " +
-                       std::to_string(ends) +
-                       " -- unbalanced spans corrupt the Chrome "
-                       "trace nesting");
-    }
-}
-
 // ------------------------------------------------------ no-raw-owning-new
 
 void
@@ -773,116 +725,6 @@ checkNoRawOwningNew(const SourceFile &f, const Project &proj,
         report(out, f, t.line, "no-raw-owning-new",
                "raw 'new' outside a SimObject factory constructor "
                "-- use std::make_unique or a container");
-    }
-}
-
-// --------------------------------------------------------- shard-isolation
-
-/**
- * Files implementing the parallel driver or shard bodies: everything
- * they touch must be owned per shard, so process-wide singleton
- * accessors are additionally off limits there.
- */
-bool
-isShardManaged(const std::string &rel)
-{
-    return startsWith(rel, "src/sim/") &&
-           (rel.find("shard") != std::string::npos ||
-            rel.find("parallel") != std::string::npos);
-}
-
-/** Types whose instances hold mutable simulation state a shard must
- *  own: sharing one across shards breaks run determinism. */
-bool
-isShardStateType(const std::string &s)
-{
-    return s == "Random" || s == "EventQueue";
-}
-
-void
-checkShardIsolation(const SourceFile &f, const Project &,
-                    std::vector<Diagnostic> &out)
-{
-    if (!inSrcOrBench(f))
-        return;
-    const auto &toks = f.tokens();
-
-    // (a) No namespace-scope, static, or thread_local mutable
-    // Random/EventQueue anywhere shards may run: a singleton RNG or
-    // queue makes shard results depend on worker scheduling.
-    for (std::size_t i = 0; i < toks.size(); ++i) {
-        const Token &t = toks[i];
-        if (t.inDirective || t.kind != TokKind::Identifier ||
-            !isShardStateType(t.text) || t.parenDepth > 0)
-            continue;
-        if (i > 0 && (toks[i - 1].text == "class" ||
-                      toks[i - 1].text == "struct" ||
-                      toks[i - 1].text == "<"))
-            continue; // forward declaration or template argument
-        if (i + 1 < toks.size() && toks[i + 1].text == "::")
-            continue; // qualified use, not a declaration
-
-        // Storage-class / cv qualifiers directly before the type.
-        bool is_shared = false; // static or thread_local
-        bool is_const = false;
-        for (std::size_t k = i; k-- > 0;) {
-            const std::string &p = toks[k].text;
-            if (p == "static" || p == "thread_local")
-                is_shared = true;
-            else if (p == "const" || p == "constexpr")
-                is_const = true;
-            else
-                break;
-        }
-
-        int blk = f.enclosingBlock(i);
-        Block::Kind kind = blk < 0
-                               ? Block::Kind::Namespace
-                               : f.blocks()[static_cast<std::size_t>(
-                                                blk)]
-                                     .kind;
-        bool namespace_scope = kind == Block::Kind::Namespace;
-        if (is_const || (!namespace_scope && !is_shared))
-            continue; // immutable, or owned by an object/frame
-
-        // Find the declarator; skip function declarations and
-        // definitions (`Random &stream()`).
-        std::size_t j = i + 1;
-        while (j < toks.size() &&
-               (toks[j].text == "*" || toks[j].text == "&" ||
-                toks[j].text == "const"))
-            ++j;
-        if (j >= toks.size() || toks[j].kind != TokKind::Identifier)
-            continue;
-        if (j + 1 < toks.size() && toks[j + 1].text == "(" &&
-            f.enclosingFunction(i) < 0)
-            continue; // function signature, not a variable
-
-        report(out, f, toks[j].line, "shard-isolation",
-               (is_shared ? "static " : "global ") + t.text + " '" +
-                   toks[j].text +
-                   "' is shared mutable simulation state -- parallel "
-                   "shards must own their Random/EventQueue (see "
-                   "ShardContext in sim/shard.hh)");
-    }
-
-    // (b) The driver and shard plumbing must not reach for
-    // process-wide singletons at all.
-    if (!isShardManaged(f.relPath()))
-        return;
-    for (std::size_t i = 1; i + 1 < toks.size(); ++i) {
-        const Token &t = toks[i];
-        if (t.inDirective || t.kind != TokKind::Identifier ||
-            (t.text != "global" && t.text != "instance"))
-            continue;
-        const std::string &sep = toks[i - 1].text;
-        if ((sep != "." && sep != "->" && sep != "::") ||
-            toks[i + 1].text != "(")
-            continue;
-        report(out, f, t.line, "shard-isolation",
-               "singleton accessor '" + t.text +
-                   "()' in shard-managed code -- shards may only "
-                   "touch state handed to them via ShardContext");
     }
 }
 
@@ -1189,19 +1031,10 @@ allRules()
          "src/ -- time comes from EventQueue, randomness from "
          "sim/random.hh",
          &checkNoWallclock},
-        {"trace-pairing",
-         "HT_TRACE begin/end (and TraceSink::begin/end) must balance "
-         "within each function",
-         &checkTracePairing},
         {"no-raw-owning-new",
          "no raw owning 'new' outside SimObject factory "
          "constructors",
          &checkNoRawOwningNew},
-        {"shard-isolation",
-         "no global/static mutable Random or EventQueue, and no "
-         "singleton accessors in shard-managed code -- parallel "
-         "shards own their state",
-         &checkShardIsolation},
         {"header-hygiene",
          "headers need an include guard and must not contain "
          "'using namespace'",

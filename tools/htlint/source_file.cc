@@ -349,6 +349,39 @@ SourceFile::enclosingFunction(std::size_t tok_idx) const
 }
 
 bool
+SourceFile::declaresFunction(std::size_t name_idx) const
+{
+    const auto &toks = tokens();
+    const std::size_t open = name_idx + 1;
+    if (open >= toks.size() || toks[open].text != "(" ||
+        enclosingFunction(name_idx) >= 0)
+        return false;
+    const int depth = toks[open].parenDepth;
+    std::size_t close = open + 1;
+    while (close < toks.size() &&
+           !(toks[close].text == ")" && toks[close].parenDepth == depth))
+        ++close;
+    if (close == open + 1 || close + 1 >= toks.size() ||
+        (toks[close + 1].text != ";" && toks[close + 1].text != ","))
+        return true; // `T f()`, or a body/qualifier/`= default` follows
+    static const std::set<std::string> builtin = {
+        "void", "bool",   "char",  "int",    "long", "short",
+        "auto", "signed", "float", "double", "unsigned"};
+    for (std::size_t k = open + 1; k < close; ++k) {
+        const Token &t = toks[k];
+        const Token &next = toks[k + 1];
+        const bool ends = next.text == "," || next.text == ")";
+        if (t.parenDepth == depth &&
+            ((t.kind == TokKind::Identifier &&
+              (next.kind == TokKind::Identifier ||
+               (ends && builtin.count(t.text)))) ||
+             (ends && (t.text == "&" || t.text == "*"))))
+            return true; // `Tick t`, `int`, `Foo &`
+    }
+    return false;
+}
+
+bool
 SourceFile::suppressed(const std::string &rule, int line) const
 {
     if (_allowFile.count(rule))

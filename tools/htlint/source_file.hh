@@ -76,6 +76,15 @@ class SourceFile
      */
     int enclosingFunction(std::size_t tok_idx) const;
 
+    /**
+     * Does the identifier at @p name_idx, followed by '(', name a
+     * function rather than a paren-initialized variable? In a function
+     * body it never does (`Random r(seed);`); elsewhere a variable
+     * needs arguments (`Random g(42);`), not parameters (`(Tick t)`,
+     * `(int)`, `(Foo &)`, `()`), and a following ';' or ','.
+     */
+    bool declaresFunction(std::size_t name_idx) const;
+
     /** Is @p rule suppressed at @p line by an allow comment? */
     bool suppressed(const std::string &rule, int line) const;
 

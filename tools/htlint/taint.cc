@@ -101,12 +101,9 @@ sinkKind(const std::string &callee)
 {
     static const std::map<std::string, const char *> sinks = {
         // TraceSink / HT_TRACE: the Chrome trace is host-visible.
-        {"HT_TRACE_BEGIN", "trace"},
-        {"HT_TRACE_END", "trace"},
         {"HT_TRACE_INSTANT", "trace"},
         {"HT_TRACE_INSTANT1", "trace"},
-        {"begin", "trace"},
-        {"end", "trace"},
+        {"span", "trace"},
         {"instant", "trace"},
         {"arg", "trace"},
         // src/sim/logging + stdio: straight to the host console.
