@@ -10,10 +10,12 @@
  * curve row reports the fraction of enclave-mode requests resolved
  * within x times that baseline.
  *
- * Every curve is an independent simulation (its own EmsServiceSim,
- * EventQueue and seeds), so the sweep fans curves across --jobs
- * worker shards; the merged output is byte-identical for any job
- * count.
+ * Each curve runs the one EMS scheduler (FleetTrafficSim) with
+ * batches of one, the EMCall gate's obfuscation jitter and a scripted
+ * closed-loop client per CS core. Every curve is an independent
+ * simulation (its own scheduler, EventQueue and seeds), so the sweep
+ * fans curves across --jobs worker shards; the merged output is
+ * byte-identical for any job count.
  *
  * Paper conclusions the output should reproduce: 1 in-order EMS core
  * suffices for <=4 CS cores; 2 in-order for 16; 2 OoO for 32/64
@@ -21,31 +23,14 @@
  */
 
 #include "bench/bench_util.hh"
+#include "emcall/emcall.hh"
 #include "ems/cost_model.hh"
-#include <memory>
-
-#include "ems/service_sim.hh"
+#include "workload/traffic.hh"
 
 using namespace hypertee;
 
 namespace
 {
-
-/** EMS-side service time of one 2 MB EALLOC (512 pages). */
-Tick
-eallocService(const EmsCostModel &cost)
-{
-    return cost.instTime(EmsCostModel::baseInsts(PrimitiveOp::EAlloc)) +
-           cost.perPageZeroTime(512) + cost.perPageMapTime(512);
-}
-
-/** Non-enclave baseline: the CS core maps 512 pages locally. */
-Tick
-hostMallocP99()
-{
-    // ~2500 cycles/page of OS fault+zero+map work at 2.5 GHz.
-    return Tick(512) * hostMallocCyclesPerPage * 400;
-}
 
 struct EmsConfig
 {
@@ -66,53 +51,63 @@ runCurve(const CurveSpec &spec, const ShardContext &ctx)
     const unsigned cs_cores = spec.csCores;
     const EmsConfig &ems = spec.ems;
     const std::uint64_t total_allocs = 16384;
+    // EMS-side service: each CS core's ECREATE (80 pages), then its
+    // 2 MB EALLOCs (512 pages).
     EmsCostModel cost(ems.cost);
-
-    ServiceSimParams params;
-    params.emsCores = ems.cores;
-    params.obfuscation = true;
-    params.seed = 42;
-    params.startWindow = 20'000'000'000ULL; // 20 ms stagger
-    EmsServiceSim sim(params);
-
-    Tick create_service =
-        cost.instTime(EmsCostModel::baseInsts(PrimitiveOp::ECreate)) +
-        cost.perPageZeroTime(80) + cost.perPageMapTime(80);
-    Tick alloc_service = eallocService(cost);
+    auto service = [&](PrimitiveOp op, std::size_t pages) {
+        return cost.instTime(EmsCostModel::baseInsts(op)) +
+               cost.perPageZeroTime(pages) + cost.perPageMapTime(pages);
+    };
+    const Tick create_service = service(PrimitiveOp::ECreate, 80);
+    const Tick alloc_service = service(PrimitiveOp::EAlloc, 512);
 
     // CS cores compute between allocations (an allocation-heavy but
-    // not allocation-only workload): ~20 ms of work per request.
-    const Tick think_base = 20'000'000'000ULL; // ~20 ms
-    std::uint64_t per_client = total_allocs / cs_cores;
-    Random think_rng(shardSeed(ctx.seed, 0));
-    for (unsigned c = 0; c < cs_cores; ++c) {
-        // Per-request service variance (EMS cache state, pool
-        // refills): +/-25% uniform; per-client think variation
-        // keeps the fleet desynchronized.
-        auto noise =
-            std::make_shared<Random>(shardSeed(ctx.seed, 1000 + c));
-        Tick think = think_base * think_rng.between(85, 115) / 100;
-        sim.addClient("cs" + std::to_string(c), per_client + 1,
-                      [=](std::uint64_t i) {
-                          Tick base = i == 0 ? create_service
-                                             : alloc_service;
-                          return base * noise->between(75, 125) / 100;
-                      },
-                      think / 2, think);
-    }
-    sim.run();
+    // not allocation-only workload): 10 ms + U[0, 20 ms], ~20 ms on
+    // average, which also staggers their starts.
+    FleetTrafficParams params;
+    params.mode = FleetLoadMode::ClosedLoop;
+    params.clients = cs_cores;
+    params.requests = std::uint64_t(cs_cores) *
+                      (total_allocs / cs_cores + 1);
+    params.thinkTime = 10'000'000'000ULL;
+    params.thinkJitter = 20'000'000'000ULL;
+    params.emsCores = ems.cores;
+    params.queueCapacity = cs_cores;
+    params.batchMax = 1;
+    params.batchOverhead = 0;
+    params.jitterMax = EmCallParams{}.pollJitterMax;
+    params.seed = shardSeed(ctx.seed, 0);
+
+    // Per-request service variance (EMS cache state, pool refills):
+    // +/-25% uniform, from one stream per CS core.
+    std::vector<Random> noise;
+    for (unsigned c = 0; c < cs_cores; ++c)
+        noise.emplace_back(shardSeed(ctx.seed, 1000 + c));
 
     // One exported latency distribution per curve, so --stats-json
     // carries the p50/p90/p99 behind every SLO row.
+    const std::string curve =
+        std::to_string(cs_cores) + "xCS_" + ems.name;
     BenchShardResult result;
-    Distribution &lat = result.stats.distribution(
-        std::to_string(cs_cores) + "xCS_" + ems.name + "_latency");
-    for (unsigned c = 0; c < cs_cores; ++c) {
-        for (Tick t : sim.latencies("cs" + std::to_string(c)))
-            lat.sample(static_cast<double>(t));
-    }
+    FleetTrafficSim sim(
+        params,
+        std::make_unique<ScriptedSource>(
+            std::vector<std::string>(cs_cores, "primitive"),
+            [&](std::uint32_t c, std::uint64_t i) {
+                Tick base = i == 0 ? create_service : alloc_service;
+                return base * noise[c].between(75, 125) / 100;
+            }),
+        curve, result.stats);
+    sim.run();
+    fatalIf(sim.rejected() != 0, curve, ": ", sim.rejected(),
+            " requests rejected by a queue sized for every CS core");
+    Distribution &lat =
+        result.stats.distribution(curve + ".primitive_latency");
 
-    double baseline = double(hostMallocP99());
+    // Non-enclave baseline: the CS core maps the 512 pages itself, at
+    // hostMallocCyclesPerPage of OS fault+zero+map work each (400
+    // ticks per cycle at 2.5 GHz).
+    double baseline = double(Tick(512) * hostMallocCyclesPerPage * 400);
     std::vector<std::string> row = {std::to_string(cs_cores) + "xCS",
                                     ems.name};
     for (double x : {1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0})

@@ -56,6 +56,8 @@ runScenario(const FleetScenario &scenario)
         };
         result.rows.push_back(std::move(row));
     }
+    double live =
+        result.stats.scalar(scenario.name + ".peak_live_enclaves").value();
     std::vector<std::string> summary = {
         scenario.name,
         "all",
@@ -65,7 +67,7 @@ runScenario(const FleetScenario &scenario)
                 : 0.0,
             2),
         num(sim.goodputPerSec() / 1000.0, 1) + "k/s",
-        "live=" + num(double(sim.peakLiveEnclaves()), 0),
+        "live=" + num(live, 0),
         "q=" + num(double(sim.peakQueueDepth()), 0),
     };
     result.rows.push_back(std::move(summary));

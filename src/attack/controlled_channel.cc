@@ -2,8 +2,9 @@
 
 #include <algorithm>
 
-#include "ems/service_sim.hh"
+#include "emcall/emcall.hh"
 #include "sim/logging.hh"
+#include "workload/traffic.hh"
 
 namespace hypertee
 {
@@ -215,27 +216,38 @@ timingChannelAccuracy(unsigned ems_cores, bool obfuscation,
     const Tick base_service = 2'000'000; // 2 us victim primitive
     const Tick probe_service = 400'000;  // cheap attacker probe
 
-    // One synchronized round per secret bit: victim and attacker
-    // requests arrive together, mirroring an SGX-Step-style
-    // synchronized prober.
+    // One synchronized round per secret bit: victim (client 0) and
+    // attacker (client 1) issue together, mirroring an SGX-Step-style
+    // synchronized prober, on an unbatched EMS.
+    FleetTrafficParams params;
+    params.mode = FleetLoadMode::ClosedLoop;
+    params.clients = 2;
+    params.requests = 2;
+    params.thinkTime = 0;
+    params.thinkJitter = 0;
+    params.emsCores = ems_cores;
+    params.queueCapacity = 2;
+    params.batchMax = 1;
+    params.batchOverhead = 0;
+    params.jitterMax = obfuscation ? EmCallParams{}.pollJitterMax : 0;
+
     std::vector<Tick> observed(bits);
     for (std::size_t i = 0; i < bits; ++i) {
-        ServiceSimParams params;
-        params.emsCores = ems_cores;
-        params.obfuscation = obfuscation;
         params.seed = seed ^ (0x7171 + i);
-        EmsServiceSim sim(params);
         Tick victim_service =
             base_service + (secret[i] ? service_delta : 0);
-        sim.addClient("victim", 1,
-                      [victim_service](std::uint64_t) {
-                          return victim_service;
-                      });
-        sim.addClient("attacker", 1, [probe_service](std::uint64_t) {
-            return probe_service;
-        });
+        ShardStats stats;
+        FleetTrafficSim sim(
+            params,
+            std::make_unique<ScriptedSource>(
+                std::vector<std::string>{"victim", "probe"},
+                [=](std::uint32_t client, std::uint64_t) {
+                    return client == 0 ? victim_service : probe_service;
+                }),
+            "timing", stats);
         sim.run();
-        observed[i] = sim.latencies("attacker").at(0);
+        observed[i] = static_cast<Tick>(
+            stats.distribution("timing.probe_latency").samples().at(0));
     }
 
     // Midpoint threshold classifier: with a clean two-valued signal

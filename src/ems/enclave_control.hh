@@ -47,7 +47,6 @@ enum class EnclaveState : std::uint8_t
     Measured,  ///< EMEAS finalized; may be entered
     Running,   ///< at least one core inside
     Suspended, ///< KeyID released under pressure
-    Destroyed,
 };
 
 struct EnclaveControl

@@ -78,11 +78,7 @@ EnclaveControl *
 EmsRuntime::liveEnclave(EnclaveId id)
 {
     auto it = _enclaves.find(id);
-    if (it == _enclaves.end())
-        return nullptr;
-    if (it->second.state == EnclaveState::Destroyed)
-        return nullptr;
-    return &it->second;
+    return it == _enclaves.end() ? nullptr : &it->second;
 }
 
 const EnclaveControl *
@@ -506,11 +502,9 @@ EmsRuntime::doDestroy(const PrimitiveRequest &req, Tick &service)
         if (it != _shms.end())
             it->second.attached.erase(id);
     }
-    enc->attachedShm.clear();
 
     // Scrub every private page and page-table frame, then recycle.
     scrubAndReturn(enc->pages, service);
-    enc->pages.clear();
     std::vector<Addr> pt_frames;
     for (Addr frame : enc->pageTable->tableFrames())
         pt_frames.push_back(pageNumber(frame));
@@ -519,8 +513,7 @@ EmsRuntime::doDestroy(const PrimitiveRequest &req, Tick &service)
 
     if (enc->keyId != 0)
         _port->releaseKey(enc->keyId);
-    enc->keyId = 0;
-    enc->state = EnclaveState::Destroyed;
+    _enclaves.erase(id);
 
     PrimitiveResponse resp;
     resp.flags = kFlagFlushTlb | kFlagExitEnclave;

@@ -97,6 +97,7 @@ class EmsRuntime
     PrimitiveResponse handle(const PrimitiveRequest &req);
 
     // ---- introspection (tests, benches, EmCall hook wiring) ----
+    /** nullptr for an unknown or destroyed enclave. */
     const EnclaveControl *enclave(EnclaveId id) const;
     const PageTable *enclavePageTable(EnclaveId id) const;
     const ShmControl *shm(ShmId id) const;

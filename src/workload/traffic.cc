@@ -40,8 +40,7 @@ expDraw(Random &rng, double mean)
 
 PoissonArrivals::PoissonArrivals(double rate_per_sec,
                                  std::uint64_t seed)
-    : _ratePerSec(rate_per_sec),
-      _meanTicks(double(ticksPerSecond) / rate_per_sec), _rng(seed)
+    : _meanTicks(double(ticksPerSecond) / rate_per_sec), _rng(seed)
 {
     fatalIf(rate_per_sec <= 0, "Poisson arrivals need a rate");
 }
@@ -103,18 +102,239 @@ MmppArrivals::analyticMeanInterarrivalTicks() const
     return double(ticksPerSecond) / analyticMeanRatePerSec();
 }
 
+// --------------------------------------------------------- fleet churn
+
+namespace
+{
+
+/**
+ * The fleet churn: enclave create/attest/seal/unseal/destroy across
+ * `enclaveSlots` pre-warmed enclaves whose pages come from a shared
+ * EnclaveMemoryPool, backed by a modelled OS.
+ */
+class FleetChurn final : public RequestSource
+{
+  public:
+    explicit FleetChurn(const FleetTrafficParams &params)
+        : _p(params), _cost(params.cost)
+    {
+        fatalIf(_p.enclaveSlots == 0, "fleet sim needs enclave slots");
+
+        // Modelled OS backing store: grants recycle released frames
+        // first, then mint fresh PPNs — never exhausted, so pool pressure
+        // shows up as grant *latency*, not allocation failure.
+        auto os_alloc = [this](std::size_t n) {
+            std::vector<Addr> out;
+            out.reserve(n);
+            while (n > 0 && !_osFree.empty()) {
+                out.push_back(_osFree.back());
+                _osFree.pop_back();
+                --n;
+            }
+            for (std::size_t i = 0; i < n; ++i)
+                out.push_back(_osNextPpn++);
+            return out;
+        };
+        auto os_release = [this](const std::vector<Addr> &pages) {
+            _osFree.insert(_osFree.end(), pages.begin(), pages.end());
+        };
+        _pool = std::make_unique<EnclaveMemoryPool>(
+            os_alloc, os_release, _p.pool, shardSeed(_p.seed, 2));
+
+        // Pre-warmed fleet: the full enclave population is live before
+        // the first measured request, so every load point samples steady
+        // state rather than the create-heavy ramp transient. Creates are
+        // still exercised — the churn mix re-creates what it destroys.
+        _slotPages.resize(_p.enclaveSlots);
+        for (std::uint32_t slot = 0; slot < _p.enclaveSlots; ++slot) {
+            _slotPages[slot] = _pool->allocate(_p.pagesPerEnclave);
+            panicIf(_slotPages[slot].size() != _p.pagesPerEnclave,
+                    "modelled OS ran out of pages during pre-warm");
+            _live.push_back(slot);
+        }
+        _peakLive = _live.size();
+    }
+
+    const char *
+    className(std::uint32_t cls) const override
+    {
+        return fleetOpName(static_cast<FleetOp>(cls));
+    }
+
+    EmsRequest
+    make(std::uint32_t client, Random &rng) override
+    {
+        // Op-mix policy, a pure function of fleet state and the RNG:
+        // fill the fleet first (9:1 create-heavy warm-up), then churn
+        // with balanced create/destroy so the live population holds at
+        // the slot count.
+        FleetOp op = FleetOp::Create;
+        std::uint32_t slot = 0;
+        if (!_live.empty()) {
+            bool warming = !_freeSlots.empty() &&
+                           _live.size() < _p.enclaveSlots &&
+                           _peakLive < _p.enclaveSlots;
+            std::uint64_t roll = rng.below(1000);
+            // Steady churn: attest 35%, seal 25%, unseal 25%, create
+            // 7.5%, destroy 7.5%.
+            if (warming && roll < 900)
+                op = FleetOp::Create;
+            else if (roll < 350)
+                op = FleetOp::Attest;
+            else if (roll < 600)
+                op = FleetOp::Seal;
+            else if (roll < 850)
+                op = FleetOp::Unseal;
+            else if (roll >= 925)
+                op = FleetOp::Destroy;
+            if (op == FleetOp::Create && _freeSlots.empty())
+                op = FleetOp::Attest; // fleet full: nothing to create
+            if (op != FleetOp::Create)
+                slot = _live[rng.below(_live.size())];
+        }
+        return {static_cast<std::uint32_t>(op), client, slot};
+    }
+
+    Tick
+    admit(EmsRequest &req, Random &rng) override
+    {
+        // Fleet bookkeeping happens only for admitted requests, so a
+        // rejected create never leaks a slot.
+        std::uint32_t slot = req.target;
+        std::size_t pages = _p.pagesPerEnclave;
+        Tick service = 0;
+        switch (static_cast<FleetOp>(req.cls)) {
+          case FleetOp::Create: {
+            slot = req.target = _freeSlots.back();
+            _freeSlots.pop_back();
+            _live.push_back(slot);
+            _peakLive = std::max<std::uint64_t>(_peakLive, _live.size());
+            service = _cost.instTime(EmsCostModel::baseInsts(
+                          PrimitiveOp::ECreate)) +
+                      _cost.perPageZeroTime(pages) +
+                      _cost.perPageMapTime(pages);
+            std::uint64_t grants_before = _pool->osRequests();
+            _slotPages[slot] = _pool->allocate(pages);
+            panicIf(_slotPages[slot].size() != pages,
+                    "modelled OS ran out of pages");
+            if (_pool->osRequests() != grants_before) {
+                // The pool crossed its refill threshold mid-create: the
+                // request eats the OS round trip the pool normally hides.
+                std::size_t granted = _pool->osRequestSizes().back();
+                service += _p.osGrantBase +
+                           _p.osGrantPerPage * Tick(granted);
+                ++_osGrantStalls;
+            }
+            break;
+          }
+          case FleetOp::Attest:
+            service = _cost.instTime(
+                          EmsCostModel::baseInsts(PrimitiveOp::EMeas) +
+                          EmsCostModel::baseInsts(PrimitiveOp::EAttest)) +
+                      _p.attestCryptoTime;
+            break;
+          case FleetOp::Seal:
+            service = _cost.instTime(
+                          EmsCostModel::baseInsts(PrimitiveOp::EWb)) +
+                      _p.sealCryptoPerPage * Tick(_p.sealPages);
+            break;
+          case FleetOp::Unseal:
+            service = _cost.instTime(
+                          EmsCostModel::baseInsts(PrimitiveOp::EAdd)) +
+                      _p.sealCryptoPerPage * Tick(_p.sealPages);
+            break;
+          case FleetOp::Destroy: {
+            auto it = std::find(_live.begin(), _live.end(), slot);
+            panicIf(it == _live.end(), "destroy of a dead slot");
+            *it = _live.back();
+            _live.pop_back();
+            _freeSlots.push_back(slot);
+            pages = _slotPages[slot].size();
+            service = _cost.instTime(EmsCostModel::baseInsts(
+                          PrimitiveOp::EDestroy)) +
+                      _cost.perPageZeroTime(pages) +
+                      _cost.perPageMapTime(pages);
+            _pool->release(_slotPages[slot]);
+            _slotPages[slot].clear();
+            break;
+          }
+        }
+        // Per-request service variance (EMS cache state, page walk
+        // depth): +/-20% uniform.
+        return service * rng.between(80, 120) / 100;
+    }
+
+    Tick
+    maintain(ShardStats &stats, const std::string &prefix) override
+    {
+        // Watermark maintenance between batches: the scheduler's
+        // background duty. Its OS traffic is charged to the *next* batch
+        // on this EMS, never to the requests that already completed.
+        Tick owed = 0;
+        EnclaveMemoryPool::Rebalance moved = _pool->rebalance();
+        if (moved.refilled > 0) {
+            owed += _p.osGrantBase + _p.osGrantPerPage * Tick(moved.refilled);
+            stats.scalar(prefix + ".rebalance_refills") += 1;
+        }
+        if (moved.returned > 0) {
+            owed += _cost.perPageMapTime(moved.returned);
+            stats.scalar(prefix + ".rebalance_returns") += 1;
+        }
+        return owed;
+    }
+
+    void
+    report(ShardStats &stats, const std::string &prefix) const override
+    {
+        stats.scalar(prefix + ".peak_live_enclaves").set(double(_peakLive));
+        stats.scalar(prefix + ".pool_os_requests")
+            .set(double(_pool->osRequests()));
+        stats.scalar(prefix + ".pool_os_returns")
+            .set(double(_pool->osReturns()));
+        stats.scalar(prefix + ".pool_grant_stalls")
+            .set(double(_osGrantStalls));
+    }
+
+  private:
+    FleetTrafficParams _p;
+    EmsCostModel _cost;
+    std::unique_ptr<EnclaveMemoryPool> _pool;
+
+    // Modelled OS backing store for the pool: a free-PPN recycler.
+    std::vector<Addr> _osFree;
+    Addr _osNextPpn = 0x100000;
+
+    // Fleet state: slot -> pages held; free slots; live slot list.
+    std::vector<std::vector<Addr>> _slotPages;
+    std::vector<std::uint32_t> _freeSlots;
+    std::vector<std::uint32_t> _live;
+    std::uint64_t _peakLive = 0;
+    std::uint64_t _osGrantStalls = 0;
+};
+
+} // namespace
+
 // ------------------------------------------------------- FleetTrafficSim
 
 FleetTrafficSim::FleetTrafficSim(const FleetTrafficParams &params,
                                  std::string stat_prefix,
                                  ShardStats &stats)
+    : FleetTrafficSim(params, std::make_unique<FleetChurn>(params),
+                      std::move(stat_prefix), stats)
+{}
+
+FleetTrafficSim::FleetTrafficSim(const FleetTrafficParams &params,
+                                 std::unique_ptr<RequestSource> source,
+                                 std::string stat_prefix,
+                                 ShardStats &stats)
     : _p(params), _prefix(std::move(stat_prefix)), _stats(stats),
-      _rng(shardSeed(params.seed, 0))
+      _source(std::move(source)), _rng(shardSeed(params.seed, 0))
 {
     fatalIf(_p.emsCores == 0, "fleet sim needs EMS cores");
     fatalIf(_p.batchMax == 0, "fleet sim needs a batch size");
     fatalIf(_p.queueCapacity == 0, "fleet sim needs a queue");
-    fatalIf(_p.enclaveSlots == 0, "fleet sim needs enclave slots");
+    fatalIf(_p.jitterMax > 0 && _p.mode != FleetLoadMode::ClosedLoop,
+            "dispatch jitter needs closed-loop clients");
 
     switch (_p.mode) {
       case FleetLoadMode::OpenPoisson:
@@ -130,49 +350,7 @@ FleetTrafficSim::FleetTrafficSim(const FleetTrafficParams &params,
         break;
     }
 
-    // Modelled OS backing store: grants recycle released frames
-    // first, then mint fresh PPNs — never exhausted, so pool pressure
-    // shows up as grant *latency*, not allocation failure.
-    auto os_alloc = [this](std::size_t n) {
-        std::vector<Addr> out;
-        out.reserve(n);
-        while (n > 0 && !_osFree.empty()) {
-            out.push_back(_osFree.back());
-            _osFree.pop_back();
-            --n;
-        }
-        for (std::size_t i = 0; i < n; ++i)
-            out.push_back(_osNextPpn++);
-        return out;
-    };
-    auto os_release = [this](const std::vector<Addr> &pages) {
-        _osFree.insert(_osFree.end(), pages.begin(), pages.end());
-    };
-    _pool = std::make_unique<EnclaveMemoryPool>(
-        os_alloc, os_release, _p.pool, shardSeed(_p.seed, 2));
-
-    _slotPages.resize(_p.enclaveSlots);
-    _freeSlots.reserve(_p.enclaveSlots);
-    for (std::size_t s = _p.enclaveSlots; s > 0; --s)
-        _freeSlots.push_back(static_cast<std::uint32_t>(s - 1));
-    _live.reserve(_p.enclaveSlots);
-
-    // Pre-warmed fleet: the full enclave population is live before
-    // the first measured request, so every load point samples steady
-    // state rather than the create-heavy ramp transient. Creates are
-    // still exercised — the churn mix re-creates what it destroys.
-    for (std::size_t s = 0; s < _p.enclaveSlots; ++s) {
-        std::uint32_t slot = _freeSlots.back();
-        _freeSlots.pop_back();
-        _slotPages[slot] = _pool->allocate(_p.pagesPerEnclave);
-        panicIf(_slotPages[slot].size() != _p.pagesPerEnclave,
-                "modelled OS ran out of pages during pre-warm");
-        _live.push_back(slot);
-    }
-    _peakLive = _live.size();
-
-    _serverBusy.assign(_p.emsCores, false);
-    _serverBatch.resize(_p.emsCores);
+    _serverBatch.assign(_p.emsCores, 0);
     for (unsigned s = 0; s < _p.emsCores; ++s) {
         _serverDone.push_back(std::make_unique<Event>(
             "fleet-batch-done-" + std::to_string(s),
@@ -187,10 +365,16 @@ FleetTrafficSim::run()
 {
     if (_p.mode == FleetLoadMode::ClosedLoop) {
         _clientOutstanding.assign(_p.clients, 0);
+        _clientIssued.assign(_p.clients, 0);
         for (unsigned c = 0; c < _p.clients; ++c) {
             _clientEv.push_back(std::make_unique<Event>(
                 "fleet-client-" + std::to_string(c),
                 [this, c] { clientIssue(c); }));
+            if (_p.jitterMax > 0) {
+                _clientDispatchEv.push_back(std::make_unique<Event>(
+                    "fleet-dispatch-" + std::to_string(c),
+                    [this, c] { clientDispatch(c); }));
+            }
             // Staggered starts keep the client fleet decorrelated.
             Tick start =
                 _rng.below(_p.thinkTime + _p.thinkJitter + 1);
@@ -209,18 +393,11 @@ FleetTrafficSim::run()
     _stats.scalar(_prefix + ".completed").set(double(_completed));
     _stats.scalar(_prefix + ".rejected").set(double(_rejected));
     _stats.scalar(_prefix + ".goodput_rps").set(goodputPerSec());
-    _stats.scalar(_prefix + ".peak_live_enclaves")
-        .set(double(_peakLive));
     _stats.scalar(_prefix + ".peak_queue_depth")
         .set(double(_peakQueueDepth));
     _stats.scalar(_prefix + ".peak_in_flight")
         .set(double(_peakInFlight));
-    _stats.scalar(_prefix + ".pool_os_requests")
-        .set(double(_pool->osRequests()));
-    _stats.scalar(_prefix + ".pool_os_returns")
-        .set(double(_pool->osReturns()));
-    _stats.scalar(_prefix + ".pool_grant_stalls")
-        .set(double(_osGrantStalls));
+    _source->report(_stats, _prefix);
 }
 
 double
@@ -232,13 +409,22 @@ FleetTrafficSim::goodputPerSec() const
     return double(_completed) * double(ticksPerSecond) / double(end);
 }
 
+Tick
+FleetTrafficSim::think()
+{
+    return _p.thinkTime +
+           (_p.thinkJitter > 0 ? _rng.below(_p.thinkJitter + 1) : 0);
+}
+
 void
 FleetTrafficSim::offerRequest()
 {
     if (_issued >= _p.requests)
         return;
     ++_issued;
-    admit(makeRequest());
+    EmsRequest req = _source->make(0, _rng);
+    req.issued = _eq.now();
+    admit(req);
     if (_issued < _p.requests)
         _eq.reschedule(_arrivalEv.get(),
                        _eq.now() + _arrivals->next());
@@ -256,151 +442,46 @@ FleetTrafficSim::clientIssue(unsigned client)
     if (_issued >= _p.requests)
         return; // budget spent: this client retires
     ++_issued;
-    Request req = makeRequest();
-    req.client = client;
-    if (admit(std::move(req))) {
+    _clientIssued[client] = _eq.now();
+    if (_p.jitterMax > 0) {
+        // EMCall scheduling obfuscation: the request reaches the EMS
+        // in a randomized dispatch slot.
+        _eq.reschedule(_clientDispatchEv[client].get(),
+                       _eq.now() + _rng.below(_p.jitterMax + 1));
+    } else {
+        clientDispatch(client);
+    }
+}
+
+void
+FleetTrafficSim::clientDispatch(unsigned client)
+{
+    EmsRequest req = _source->make(client, _rng);
+    req.issued = _clientIssued[client];
+    if (admit(req)) {
         _clientOutstanding[client] = 1;
     } else {
         // Rejection response still pays the transport; the client
         // thinks, then retries with a fresh request.
-        Tick think = _p.thinkTime + (_p.thinkJitter > 0
-                                         ? _rng.below(_p.thinkJitter + 1)
-                                         : 0);
         _eq.reschedule(_clientEv[client].get(),
-                       _eq.now() + _p.transportOverhead + think);
+                       _eq.now() + _p.transportOverhead + think());
     }
-}
-
-FleetTrafficSim::Request
-FleetTrafficSim::makeRequest()
-{
-    // Op-mix policy, a pure function of fleet state and the RNG:
-    // fill the fleet first (9:1 create-heavy warm-up), then churn
-    // with balanced create/destroy so the live population holds at
-    // the slot count.
-    Request req;
-    req.client = invalidClient;
-    req.slot = 0;
-    if (_live.empty()) {
-        req.op = FleetOp::Create;
-        return req;
-    }
-    bool warming = !_freeSlots.empty() &&
-                   _live.size() < _p.enclaveSlots &&
-                   _peakLive < _p.enclaveSlots;
-    std::uint64_t roll = _rng.below(1000);
-    if (warming && roll < 900) {
-        req.op = FleetOp::Create;
-        return req;
-    }
-    // Steady churn: attest 35%, seal 25%, unseal 25%, create 7.5%,
-    // destroy 7.5%.
-    if (roll < 350) {
-        req.op = FleetOp::Attest;
-    } else if (roll < 600) {
-        req.op = FleetOp::Seal;
-    } else if (roll < 850) {
-        req.op = FleetOp::Unseal;
-    } else if (roll < 925) {
-        req.op = FleetOp::Create;
-    } else {
-        req.op = FleetOp::Destroy;
-    }
-    if (req.op == FleetOp::Create && _freeSlots.empty())
-        req.op = FleetOp::Attest; // fleet full: nothing to create
-    if (req.op != FleetOp::Create)
-        req.slot = _live[_rng.below(_live.size())];
-    return req;
-}
-
-Tick
-FleetTrafficSim::serviceTime(FleetOp op, std::uint32_t slot)
-{
-    EmsCostModel cost(_p.cost);
-    Tick service = 0;
-    switch (op) {
-      case FleetOp::Create: {
-        service =
-            cost.instTime(EmsCostModel::baseInsts(
-                PrimitiveOp::ECreate)) +
-            cost.perPageZeroTime(_p.pagesPerEnclave) +
-            cost.perPageMapTime(_p.pagesPerEnclave);
-        std::uint64_t grants_before = _pool->osRequests();
-        _slotPages[slot] = _pool->allocate(_p.pagesPerEnclave);
-        panicIf(_slotPages[slot].size() != _p.pagesPerEnclave,
-                "modelled OS ran out of pages");
-        if (_pool->osRequests() != grants_before) {
-            // The pool crossed its refill threshold mid-create: the
-            // request eats the OS round trip the pool normally hides.
-            std::size_t granted = _pool->osRequestSizes().back();
-            service += _p.osGrantBase +
-                       _p.osGrantPerPage * Tick(granted);
-            ++_osGrantStalls;
-        }
-        break;
-      }
-      case FleetOp::Attest:
-        service = cost.instTime(
-                      EmsCostModel::baseInsts(PrimitiveOp::EMeas) +
-                      EmsCostModel::baseInsts(PrimitiveOp::EAttest)) +
-                  _p.attestCryptoTime;
-        break;
-      case FleetOp::Seal:
-        service = cost.instTime(
-                      EmsCostModel::baseInsts(PrimitiveOp::EWb)) +
-                  _p.sealCryptoPerPage * Tick(_p.sealPages);
-        break;
-      case FleetOp::Unseal:
-        service = cost.instTime(
-                      EmsCostModel::baseInsts(PrimitiveOp::EAdd)) +
-                  _p.sealCryptoPerPage * Tick(_p.sealPages);
-        break;
-      case FleetOp::Destroy:
-        service =
-            cost.instTime(EmsCostModel::baseInsts(
-                PrimitiveOp::EDestroy)) +
-            cost.perPageZeroTime(_slotPages[slot].size()) +
-            cost.perPageMapTime(_slotPages[slot].size());
-        _pool->release(_slotPages[slot]);
-        _slotPages[slot].clear();
-        break;
-    }
-    // Per-request service variance (EMS cache state, page walk
-    // depth): +/-20% uniform.
-    return service * _rng.between(80, 120) / 100;
 }
 
 bool
-FleetTrafficSim::admit(Request req)
+FleetTrafficSim::admit(EmsRequest req)
 {
+    const char *cls = _source->className(req.cls);
     ++_offered;
-    _stats.scalar(_prefix + "." + fleetOpName(req.op) + "_offered") +=
-        1;
+    _stats.scalar(_prefix + "." + cls + "_offered") += 1;
     if (_queue.size() >= _p.queueCapacity) {
         ++_rejected;
-        _stats.scalar(_prefix + "." + fleetOpName(req.op) +
-                      "_rejected") += 1;
+        _stats.scalar(_prefix + "." + cls + "_rejected") += 1;
         return false;
     }
+    req.service = _source->admit(req, _rng);
 
-    // Fleet bookkeeping happens only for admitted requests, so a
-    // rejected create never leaks a slot.
-    if (req.op == FleetOp::Create) {
-        req.slot = _freeSlots.back();
-        _freeSlots.pop_back();
-        _live.push_back(req.slot);
-        _peakLive = std::max<std::uint64_t>(_peakLive, _live.size());
-    } else if (req.op == FleetOp::Destroy) {
-        auto it = std::find(_live.begin(), _live.end(), req.slot);
-        panicIf(it == _live.end(), "destroy of a dead slot");
-        *it = _live.back();
-        _live.pop_back();
-        _freeSlots.push_back(req.slot);
-    }
-    req.arrival = _eq.now();
-    req.service = serviceTime(req.op, req.slot);
-
-    _queue.push_back(std::move(req));
+    _queue.push_back(req);
     _peakQueueDepth =
         std::max<std::uint64_t>(_peakQueueDepth, _queue.size());
     ++_inFlight;
@@ -413,23 +494,20 @@ void
 FleetTrafficSim::tryDispatch()
 {
     for (unsigned s = 0; s < _p.emsCores && !_queue.empty(); ++s) {
-        if (_serverBusy[s])
-            continue;
-        _serverBusy[s] = true;
-        std::vector<Request> &batch = _serverBatch[s];
-        batch.clear();
+        if (_serverDone[s]->scheduled())
+            continue; // busy until its batch-done event fires
 
         // One doorbell/mailbox round trip covers the whole batch;
         // members complete in order at their cumulative offsets.
         Tick t = _p.batchOverhead + _pendingMaintenance;
         _pendingMaintenance = 0;
-        while (!_queue.empty() && batch.size() < _p.batchMax) {
-            Request req = std::move(_queue.front());
+        std::size_t n = 0;
+        for (; n < _p.batchMax && !_queue.empty(); ++n) {
+            t += _queue.front().service;
+            recordCompletion(_queue.front(), _eq.now() + t);
             _queue.pop_front();
-            t += req.service;
-            recordCompletion(req, _eq.now() + t);
-            batch.push_back(std::move(req));
         }
+        _serverBatch[s] = n;
         _eq.reschedule(_serverDone[s].get(), _eq.now() + t);
     }
 }
@@ -437,45 +515,26 @@ FleetTrafficSim::tryDispatch()
 void
 FleetTrafficSim::finishBatch(unsigned server)
 {
-    _serverBusy[server] = false;
     if (_p.mode != FleetLoadMode::ClosedLoop)
-        _inFlight -= _serverBatch[server].size();
-    _serverBatch[server].clear();
-
-    // Watermark maintenance between batches: the scheduler's
-    // background duty. Its OS traffic is charged to the *next* batch
-    // on this EMS, never to the requests that already completed.
-    EnclaveMemoryPool::Rebalance moved = _pool->rebalance();
-    if (moved.refilled > 0) {
-        _pendingMaintenance +=
-            _p.osGrantBase + _p.osGrantPerPage * Tick(moved.refilled);
-        _stats.scalar(_prefix + ".rebalance_refills") += 1;
-    }
-    if (moved.returned > 0) {
-        EmsCostModel cost(_p.cost);
-        _pendingMaintenance += cost.perPageMapTime(moved.returned);
-        _stats.scalar(_prefix + ".rebalance_returns") += 1;
-    }
+        _inFlight -= _serverBatch[server];
+    _pendingMaintenance += _source->maintain(_stats, _prefix);
     tryDispatch();
 }
 
 void
-FleetTrafficSim::recordCompletion(const Request &req, Tick finish)
+FleetTrafficSim::recordCompletion(const EmsRequest &req, Tick finish)
 {
-    Tick latency = finish + _p.transportOverhead - req.arrival;
+    // The response is seen after the (obfuscated) poll and the
+    // transport back to the client.
+    Tick poll = _p.jitterMax > 0 ? _rng.below(_p.jitterMax + 1) : 0;
+    Tick done = finish + poll + _p.transportOverhead;
     _stats
-        .distribution(_prefix + "." + fleetOpName(req.op) +
+        .distribution(_prefix + "." + _source->className(req.cls) +
                       "_latency")
-        .sample(double(latency));
+        .sample(double(done - req.issued));
     ++_completed;
-    if (_p.mode == FleetLoadMode::ClosedLoop && req.client !=
-        invalidClient) {
-        Tick think = _p.thinkTime + (_p.thinkJitter > 0
-                                         ? _rng.below(_p.thinkJitter + 1)
-                                         : 0);
-        _eq.reschedule(_clientEv[req.client].get(),
-                       finish + _p.transportOverhead + think);
-    }
+    if (_p.mode == FleetLoadMode::ClosedLoop)
+        _eq.reschedule(_clientEv[req.client].get(), done + think());
 }
 
 // ------------------------------------------------------ sweep definition

@@ -1,27 +1,23 @@
 /**
  * @file
- * Fleet-scale EMS traffic driver.
+ * The EMS scheduler and the traffic that drives it.
  *
- * Extends the Figure 6 SLO methodology (single-digit enclave counts,
- * closed loop only) to the service shape a production EMS must
- * survive: a front-end request generator — open-loop Poisson,
- * open-loop bursty (two-state MMPP), or closed-loop with think time —
- * driving enclave create/attest/seal/unseal/destroy churn across a
- * pool of thousands of concurrent enclaves.
- *
- * The system under test is the EMS scheduler: a bounded admission
- * queue with per-class rejection accounting, request batching that
- * amortizes the doorbell/mailbox overhead, and the shared
- * EnclaveMemoryPool with high/low free-page watermarks
- * (`EnclaveMemoryPool::rebalance`). Per-request latencies land in
- * per-operation-class Distributions so p50/p99/p999 vs offered load
- * (the knee curve), goodput, and rejection rate come out of the
- * standard `--stats-json` pipeline.
+ * One event-driven model of how the EMS queues and serves primitive
+ * requests: a front end — open-loop Poisson, open-loop bursty
+ * (two-state MMPP), or closed-loop clients with think time — feeds a
+ * bounded admission queue with per-class rejection accounting, and k
+ * EMS cores drain it in batches that amortize the doorbell/mailbox
+ * overhead. Per-class latency Distributions give p50/p99/p999 vs
+ * offered load (the knee curve), goodput and rejection rate through
+ * `--stats-json`. What is served is a RequestSource: the fleet churn
+ * (bench_fleet_slo: enclave create/attest/seal/unseal/destroy over
+ * thousands of enclaves on the watermarked EnclaveMemoryPool) or a
+ * ScriptedSource (Figure 6 and the EMS timing attacker).
  *
  * Everything is deterministic from one seed: every Random stream is
- * split from FleetTrafficParams::seed, which the bench derives from
- * the per-shard `shardSeed` — so a load sweep fans out across shards
- * with byte-identical output for any `--jobs`.
+ * split from FleetTrafficParams::seed, which the benches derive from
+ * the per-shard `shardSeed` — so a sweep fans out across shards with
+ * byte-identical output for any `--jobs`.
  */
 
 #ifndef HYPERTEE_WORKLOAD_TRAFFIC_HH
@@ -29,6 +25,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -84,10 +81,7 @@ class PoissonArrivals final : public InterarrivalProcess
 
     Tick next() override;
 
-    double ratePerSec() const { return _ratePerSec; }
-
   private:
-    double _ratePerSec;
     double _meanTicks;
     Random _rng;
 };
@@ -154,17 +148,8 @@ struct FleetTrafficParams
     /** Total requests the front end offers before stopping. */
     std::uint64_t requests = 50'000;
 
-    // ---- fleet shape ----
-    /** Enclave slots; live enclaves converge to this population. */
-    std::size_t enclaveSlots = 4096;
-    /** Pages a create draws from the pool (destroy returns them). */
-    std::size_t pagesPerEnclave = 8;
-    /** Pages sealed/unsealed per request. */
-    std::size_t sealPages = 4;
-
     // ---- EMS scheduler under test ----
     unsigned emsCores = 2;
-    EmsCostParams cost = emsMediumCost();
     /** Admission bound: arrivals beyond this depth are rejected. */
     std::size_t queueCapacity = 1024;
     /** Requests coalesced into one doorbell/mailbox round trip. */
@@ -173,12 +158,24 @@ struct FleetTrafficParams
     Tick batchOverhead = 900'000;
     /** Gate + response transport added to every round trip. */
     Tick transportOverhead = 300'000;
+    /** EMCall obfuscation (closed loop): U[0, jitterMax] dispatch and
+     *  poll delays per request; 0 is off. */
+    Tick jitterMax = 0;
 
-    // ---- crypto service terms ----
+    // ---- fleet churn source: shape ----
+    /** Enclave slots; live enclaves converge to this population. */
+    std::size_t enclaveSlots = 4096;
+    /** Pages a create draws from the pool (destroy returns them). */
+    std::size_t pagesPerEnclave = 8;
+    /** Pages sealed/unsealed per request. */
+    std::size_t sealPages = 4;
+    EmsCostParams cost = emsMediumCost();
+
+    // ---- fleet churn source: crypto service terms ----
     Tick attestCryptoTime = 6'000'000; ///< quote signing on the engine
     Tick sealCryptoPerPage = 450'000;  ///< AES-GCM per 4 KiB page
 
-    // ---- free-page pool ----
+    // ---- fleet churn source: free-page pool ----
     EnclaveMemoryPool::Params pool;
     /** Fixed OS round-trip charged when a refill leaves the EMS. */
     Tick osGrantBase = 8'000'000;
@@ -189,16 +186,97 @@ struct FleetTrafficParams
     std::uint64_t seed = 1;
 };
 
+/** One EMS request as the scheduler sees it. */
+struct EmsRequest
+{
+    std::uint32_t cls = 0;    ///< source-defined request class
+    std::uint32_t client = 0; ///< issuing client (closed loop)
+    std::uint32_t target = 0; ///< source-defined (churn: enclave slot)
+    Tick issued = 0;          ///< latency is measured from here
+    Tick service = 0;         ///< EMS-side service time
+};
+
 /**
- * Event-driven simulation of the EMS management plane under fleet
- * traffic. Samples per-class latencies, offered/rejected counts and
- * pool/scheduler telemetry into a caller-owned ShardStats under
- * `<prefix>.` so independent load points merge cleanly across shards.
+ * What the EMS serves: the request mix and the service model behind
+ * it. The scheduler owns the front end, the queue and the servers; a
+ * source owns all state its requests act on, and draws from the
+ * scheduler's Random so one seed orders the whole simulation.
+ */
+class RequestSource
+{
+  public:
+    virtual ~RequestSource() = default;
+
+    /** Stat-key name of request class @p cls. */
+    virtual const char *className(std::uint32_t cls) const = 0;
+
+    /** The next request of @p client (0 in open loop). */
+    virtual EmsRequest make(std::uint32_t client, Random &rng) = 0;
+
+    /** Book in an admitted request; returns its EMS service time. */
+    virtual Tick admit(EmsRequest &req, Random &rng) = 0;
+
+    /** Duty after a server's batch; the next batch pays its time. */
+    virtual Tick maintain(ShardStats &, const std::string &) { return 0; }
+
+    /** Export end-of-run telemetry under `<prefix>.`. */
+    virtual void report(ShardStats &, const std::string &) const {}
+};
+
+/**
+ * Closed-loop scripted requests: client c's i-th admitted request
+ * costs cost(c, i) and is recorded under class name client_class[c],
+ * so clients that share a name share a latency Distribution.
+ */
+class ScriptedSource final : public RequestSource
+{
+  public:
+    using Cost = std::function<Tick(std::uint32_t client, std::uint64_t i)>;
+
+    ScriptedSource(std::vector<std::string> client_class, Cost cost)
+        : _class(std::move(client_class)), _admitted(_class.size()),
+          _cost(std::move(cost))
+    {}
+
+    const char *
+    className(std::uint32_t cls) const override
+    {
+        return _class.at(cls).c_str();
+    }
+
+    EmsRequest
+    make(std::uint32_t client, Random &) override
+    {
+        return {client, client};
+    }
+
+    Tick
+    admit(EmsRequest &req, Random &) override
+    {
+        return _cost(req.client, _admitted.at(req.client)++);
+    }
+
+  private:
+    std::vector<std::string> _class;
+    std::vector<std::uint64_t> _admitted;
+    Cost _cost;
+};
+
+/**
+ * The event-driven EMS scheduler. Samples per-class latencies,
+ * offered/rejected counts and scheduler telemetry into a caller-owned
+ * ShardStats under `<prefix>.` so independent load points merge
+ * cleanly across shards.
  */
 class FleetTrafficSim
 {
   public:
+    /** Serve the fleet churn described by @p params. */
     FleetTrafficSim(const FleetTrafficParams &params,
+                    std::string stat_prefix, ShardStats &stats);
+    /** Serve @p source's requests. */
+    FleetTrafficSim(const FleetTrafficParams &params,
+                    std::unique_ptr<RequestSource> source,
                     std::string stat_prefix, ShardStats &stats);
     ~FleetTrafficSim();
 
@@ -214,63 +292,44 @@ class FleetTrafficSim
     std::uint64_t rejected() const { return _rejected; }
     std::uint64_t peakInFlight() const { return _peakInFlight; }
     std::uint64_t peakQueueDepth() const { return _peakQueueDepth; }
-    std::uint64_t peakLiveEnclaves() const { return _peakLive; }
     Tick endTime() const { return _eq.now(); }
     /** Completed requests per simulated second. */
     double goodputPerSec() const;
-    const EnclaveMemoryPool &pool() const { return *_pool; }
 
   private:
-    static constexpr std::uint32_t invalidClient = 0xffffffff;
-
-    struct Request
-    {
-        FleetOp op;
-        std::uint32_t slot;   ///< fleet slot the op targets
-        std::uint32_t client; ///< issuing client, or invalidClient
-        Tick arrival;         ///< admission tick
-        Tick service;         ///< EMS-side service time
-    };
-
     void offerRequest();
-    Request makeRequest();
-    Tick serviceTime(FleetOp op, std::uint32_t slot);
     /** @return false when the admission queue rejected the request. */
-    bool admit(Request req);
+    bool admit(EmsRequest req);
     void tryDispatch();
     void finishBatch(unsigned server);
     void clientIssue(unsigned client);
-    void recordCompletion(const Request &req, Tick finish);
+    void clientDispatch(unsigned client);
+    void recordCompletion(const EmsRequest &req, Tick finish);
+    Tick think();
 
     FleetTrafficParams _p;
     std::string _prefix;
     ShardStats &_stats;
+    std::unique_ptr<RequestSource> _source;
 
     EventQueue _eq;
-    Random _rng; ///< op mix, service variance, think jitter
+    Random _rng; ///< source draws, think jitter, obfuscation jitter
     std::unique_ptr<InterarrivalProcess> _arrivals;
-    std::unique_ptr<EnclaveMemoryPool> _pool;
 
-    // Modelled OS backing store for the pool: a free-PPN recycler.
-    std::vector<Addr> _osFree;
-    Addr _osNextPpn = 0x100000;
-
-    // Fleet state: slot -> pages held; free slots; live slot list.
-    std::vector<std::vector<Addr>> _slotPages;
-    std::vector<std::uint32_t> _freeSlots;
-    std::vector<std::uint32_t> _live;
-
-    // Scheduler state.
-    std::deque<Request> _queue;
-    std::vector<bool> _serverBusy;
+    std::deque<EmsRequest> _queue;
     std::vector<std::unique_ptr<Event>> _serverDone;
-    std::vector<std::vector<Request>> _serverBatch;
-    std::unique_ptr<Event> _arrivalEv;
-    std::vector<std::unique_ptr<Event>> _clientEv;
-    /** Closed loop: 1 while the client's request is outstanding. */
-    std::vector<std::uint8_t> _clientOutstanding;
-    /** Maintenance time (watermark refills) owed by the next batch. */
+    std::vector<std::size_t> _serverBatch; ///< requests in service
+    /** Maintenance time owed by the next batch. */
     Tick _pendingMaintenance = 0;
+    std::unique_ptr<Event> _arrivalEv;
+
+    // Closed-loop clients.
+    std::vector<std::unique_ptr<Event>> _clientEv;
+    /** Dispatch after the obfuscation delay (jitterMax > 0 only). */
+    std::vector<std::unique_ptr<Event>> _clientDispatchEv;
+    std::vector<Tick> _clientIssued;
+    /** 1 while the client's request is outstanding. */
+    std::vector<std::uint8_t> _clientOutstanding;
 
     std::uint64_t _offered = 0;
     std::uint64_t _issued = 0;
@@ -279,8 +338,6 @@ class FleetTrafficSim
     std::uint64_t _inFlight = 0;
     std::uint64_t _peakInFlight = 0;
     std::uint64_t _peakQueueDepth = 0;
-    std::uint64_t _peakLive = 0;
-    std::uint64_t _osGrantStalls = 0;
 };
 
 /** One sweep point of the fleet SLO bench / golden fixture. */

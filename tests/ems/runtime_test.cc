@@ -329,7 +329,7 @@ TEST_F(RuntimeFixture, DestroyScrubsEverything)
     PrimitiveResponse r =
         invoke(PrimitiveOp::EDestroy, PrivMode::Supervisor, {id});
     ASSERT_EQ(r.status, PrimStatus::Ok);
-    EXPECT_EQ(rt->enclave(id)->state, EnclaveState::Destroyed);
+    EXPECT_EQ(rt->enclave(id), nullptr);
     EXPECT_FALSE(enc.hasKey(key));
     for (Addr ppn : pages) {
         EXPECT_FALSE(bitmap.isEnclavePage(ppn));
@@ -339,6 +339,29 @@ TEST_F(RuntimeFixture, DestroyScrubsEverything)
     EXPECT_EQ(invoke(PrimitiveOp::EEnter, PrivMode::Supervisor, {id})
                   .status,
               PrimStatus::NotFound);
+}
+
+TEST_F(RuntimeFixture, DestroyedEnclavesAreForgotten)
+{
+    // EDESTROY erases the control structure: nothing about a dead
+    // enclave stays behind for later KeyID assignments to walk.
+    std::vector<EnclaveId> destroyed;
+    for (int i = 0; i < 200; ++i) {
+        EnclaveId id = makeMeasuredEnclave();
+        ASSERT_EQ(invoke(PrimitiveOp::EDestroy, PrivMode::Supervisor,
+                         {id})
+                      .status,
+                  PrimStatus::Ok);
+        destroyed.push_back(id);
+    }
+    for (EnclaveId id : destroyed)
+        EXPECT_EQ(rt->enclave(id), nullptr) << "enclave " << id;
+
+    PrimitiveResponse r =
+        invoke(PrimitiveOp::ECreate, PrivMode::Supervisor, {4, 8, 64});
+    ASSERT_EQ(r.status, PrimStatus::Ok);
+    EXPECT_NE(rt->enclave(static_cast<EnclaveId>(r.results.at(0))),
+              nullptr);
 }
 
 TEST_F(RuntimeFixture, WbReturnsRandomizedEncryptedPoolPages)

@@ -174,11 +174,14 @@ TEST(Golden, FleetSloSmokeSweep)
         actual[prefix + ".offered"] = sim.offered();
         actual[prefix + ".completed"] = sim.completed();
         actual[prefix + ".rejected"] = sim.rejected();
-        actual[prefix + ".peak_live"] = sim.peakLiveEnclaves();
+        auto scalar = [&](const char *name) {
+            return std::uint64_t(stats.scalar(prefix + name).value());
+        };
+        actual[prefix + ".peak_live"] = scalar(".peak_live_enclaves");
         actual[prefix + ".peak_queue"] = sim.peakQueueDepth();
         actual[prefix + ".end_ticks"] = sim.endTime();
-        actual[prefix + ".pool_os_requests"] = sim.pool().osRequests();
-        actual[prefix + ".pool_os_returns"] = sim.pool().osReturns();
+        actual[prefix + ".pool_os_requests"] = scalar(".pool_os_requests");
+        actual[prefix + ".pool_os_returns"] = scalar(".pool_os_returns");
         Distribution &attest =
             stats.distribution(prefix + ".attest_latency");
         actual[prefix + ".attest_p50_ticks"] =

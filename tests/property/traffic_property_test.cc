@@ -149,7 +149,8 @@ TEST_P(ArrivalSeeds, ClosedLoopNeverExceedsClientCount)
     EXPECT_LE(sim.peakInFlight(), std::uint64_t(p.clients));
     EXPECT_GT(sim.completed(), 0u);
     EXPECT_EQ(sim.offered(), sim.completed() + sim.rejected());
-    EXPECT_LE(sim.peakLiveEnclaves(), std::uint64_t(p.enclaveSlots));
+    EXPECT_LE(stats.scalar("prop.peak_live_enclaves").value(),
+              double(p.enclaveSlots));
 }
 
 TEST_P(ArrivalSeeds, FleetSimDeterministicGivenSeed)

@@ -124,8 +124,11 @@ lex(const std::string &text)
             while (p < n && text[p] != '(' && text[p] != '\n')
                 ++p;
             if (p < n && text[p] == '(') {
-                std::string close =
-                    ")" + text.substr(tag_start, p - tag_start) + "\"";
+                std::string close;
+                close.reserve(p - tag_start + 2);
+                close.append(1, ')')
+                    .append(text, tag_start, p - tag_start)
+                    .append(1, '"');
                 std::size_t body = p + 1;
                 std::size_t end = text.find(close, body);
                 if (end == std::string::npos)
