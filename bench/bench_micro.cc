@@ -22,6 +22,7 @@
 #include "crypto/aes128.hh"
 #include "crypto/ed25519.hh"
 #include "crypto/sha256.hh"
+#include "crypto/sha256_kernels.hh"
 #include "crypto/sha3.hh"
 #include "crypto/x25519.hh"
 #include "mem/mmu.hh"
@@ -43,6 +44,7 @@ BM_Sha256(benchmark::State &state)
     for (auto _ : state)
         benchmark::DoNotOptimize(Sha256::digest(data));
     state.SetBytesProcessed(state.iterations() * state.range(0));
+    state.SetLabel(sha256KernelName(sha256ActiveKernel()));
 }
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(4096)->Arg(65536);
 

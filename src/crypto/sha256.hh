@@ -1,7 +1,10 @@
 /**
  * @file
  * SHA-256 (FIPS 180-4). Used for enclave measurement (EMEAS), key
- * derivation, HMAC, and attestation report digests.
+ * derivation, HMAC, and attestation report digests. On x86-64 hosts
+ * with the SHA extensions the compression runs on SHA-NI
+ * (sha256_kernels.hh); that changes host time only, never a digest or
+ * simulated time, which CryptoEngine charges.
  */
 
 #ifndef HYPERTEE_CRYPTO_SHA256_HH
@@ -35,8 +38,6 @@ class Sha256
     static Bytes digest(const std::uint8_t *data, std::size_t len);
 
   private:
-    void processBlock(const std::uint8_t *block);
-
     std::uint32_t _state[8];
     std::uint64_t _bitLen = 0;
     std::uint8_t _buffer[blockSize];

@@ -7,8 +7,10 @@
  * owns every mutable object it touches — its own System/EventQueue
  * via whatever it constructs, its own Random stream via ShardContext
  * — so shards can run on any worker thread in any order and still
- * produce bit-identical results. The htlint `shard-isolation` rule
- * enforces the "no shared mutable singletons" half of that contract.
+ * produce bit-identical results. The htlint `shard-escape` rule
+ * (no unguarded mutable state reachable from shard code) and
+ * `seed-flow` rule (every Random seeded from ShardContext or the CLI
+ * seed) enforce that contract.
  *
  * ShardStats is the result side: a shard accumulates named stats it
  * owns by value; the driver merges shard results in shard-index
