@@ -24,55 +24,6 @@ using namespace hypertee;
 namespace
 {
 
-/** Run miniz in an enclave, context-switching at @p hz. */
-Tick
-runWithSwitchRate(HyperTeeSystem &sys, const WorkloadProfile &profile,
-                  double hz)
-{
-    EnclaveConfig cfg;
-    cfg.heapPages = pagesFor(profile.workingSetBytes);
-    EnclaveHandle enclave(sys, 0, cfg, /*charge_core=*/false);
-    enclave.addImage(Bytes(profile.imageBytes, 0x3c),
-                     EnclaveLayout::codeBase, PteRead | PteExec);
-    enclave.measure();
-    enclave.enter();
-
-    SyntheticWorkload stream(profile, EnclaveLayout::heapBase, 0, 1);
-    Core &core = sys.core(0);
-
-    RunStats total;
-    if (hz <= 0) {
-        total = core.run(stream);
-        return total.ticks;
-    }
-
-    // Convert the wall-clock switch rate into an instruction quantum
-    // using the measured execution rate, then run quantum-by-quantum.
-    // Each switch models an AEX + later ERESUME: the EMCall flushes
-    // the TLB, the other context pollutes the L1, and the ERESUME
-    // primitive round trip stalls the core.
-    enclave.setChargeCore(true);
-    const std::uint64_t probe = 500'000;
-    RunStats head = core.run(stream, probe);
-    total.add(head);
-    double ticks_per_inst =
-        double(head.ticks) / double(head.instructions);
-    double insts_per_second = ticksPerSecond / ticks_per_inst;
-    std::uint64_t quantum =
-        static_cast<std::uint64_t>(insts_per_second / hz);
-
-    while (true) {
-        core.mmu().flushTlbs();
-        core.hierarchy().l1().invalidateAll();
-        enclave.resume();
-        RunStats chunk = core.run(stream, quantum);
-        if (chunk.instructions == 0)
-            break;
-        total.add(chunk);
-    }
-    return total.ticks;
-}
-
 BenchShardResult
 runSize(Addr mb, const std::vector<double> &rates_hz, bool smoke)
 {
@@ -84,7 +35,8 @@ runSize(Addr mb, const std::vector<double> &rates_hz, bool smoke)
         p.csMemSize = 1024ULL << 20;
         p.ems.pool.initialPages = 40000;
         HyperTeeSystem sys(p);
-        return runWithSwitchRate(sys, profile, hz);
+        WorkloadRunner runner(sys);
+        return runner.runSwitching(profile, hz).ticks;
     };
 
     BenchShardResult result;

@@ -538,6 +538,12 @@ EmsRuntime::doAlloc(const PrimitiveRequest &req, Tick &service)
 
     Addr va = req.args.size() == 2 ? pageAlign(req.args[1])
                                    : enc->heapCursor;
+    // Refuse a range that overlaps an existing mapping before any
+    // pool frame, ownership record or bitmap bit changes.
+    for (std::size_t i = 0; i < n; ++i) {
+        if (enc->pageTable->walk(va + i * pageSize).valid)
+            return reject(PrimStatus::AlreadyExists);
+    }
     std::vector<Addr> frames = _pool->allocate(n);
     if (frames.size() != n)
         return reject(PrimStatus::OutOfMemory);
@@ -576,6 +582,9 @@ EmsRuntime::doFree(const PrimitiveRequest &req, Tick &service)
     if (n == 0)
         return reject(PrimStatus::InvalidArgument);
 
+    // All or nothing: validate the whole range before unmapping any
+    // of it, so a rejected request leaves every page mapped, owned
+    // and still tracked for EDESTROY's scrub.
     std::vector<Addr> freed;
     for (std::size_t i = 0; i < n; ++i) {
         WalkResult walk = enc->pageTable->walk(va + i * pageSize);
@@ -587,9 +596,11 @@ EmsRuntime::doFree(const PrimitiveRequest &req, Tick &service)
         const PageOwner *owner = _ownership.lookup(ppn);
         if (owner->kind != PageKind::Private)
             return reject(PrimStatus::PermissionDenied);
-        enc->pageTable->unmap(va + i * pageSize);
         freed.push_back(ppn);
-        std::erase(enc->pages, ppn);
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+        enc->pageTable->unmap(va + i * pageSize);
+        std::erase(enc->pages, freed[i]);
     }
     scrubAndReturn(freed, service);
 

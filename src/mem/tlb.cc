@@ -34,17 +34,16 @@ Tlb::insert(Addr va, Addr pa, std::uint64_t perms, KeyId key_id,
         // break-at-first-invalid / first-minimum scan exactly.
         std::size_t vw = 0;
         std::uint64_t best =
-            _entries[b].valid ? _entries[b].lruStamp : 0;
+            _probeValid[b] ? _entries[b].lruStamp : 0;
         for (std::size_t w = 1; w < _ways; ++w) {
-            const TlbEntry &e = _entries[b + w];
-            std::uint64_t key = e.valid ? e.lruStamp : 0;
+            std::uint64_t key =
+                _probeValid[b + w] ? _entries[b + w].lruStamp : 0;
             bool better = key < best;
             vw = better ? w : vw;
             best = better ? key : best;
         }
         victim = &_entries[b + vw];
     }
-    victim->valid = true;
     victim->vpn = vpn;
     victim->ppn = pageNumber(pa);
     victim->perms = perms;
@@ -53,6 +52,8 @@ Tlb::insert(Addr va, Addr pa, std::uint64_t perms, KeyId key_id,
     victim->lruStamp = ++_stamp;
     std::size_t idx = static_cast<std::size_t>(victim - _entries.data());
     _probeVpn[idx] = vpn;
+    if (!_probeValid[idx])
+        ++_live;
     _probeValid[idx] = 1;
 }
 
@@ -60,16 +61,16 @@ void
 Tlb::flushAll()
 {
     ++_flushRequests;
-    std::uint64_t killed = 0;
-    for (auto &e : _entries) {
-        if (e.valid)
-            ++killed;
-        e.valid = false;
+    const std::uint64_t killed = _live;
+    if (_live != 0) {
+        std::fill(_probeValid.begin(), _probeValid.end(),
+                  std::uint8_t(0));
+        _live = 0;
     }
-    std::fill(_probeValid.begin(), _probeValid.end(), std::uint8_t(0));
     _invalidations += killed;
     // A full flush is one real flush operation even on an empty TLB:
-    // the hardware walks every set regardless.
+    // the hardware flash-invalidates every set regardless. Only the
+    // host skips the work when nothing is cached.
     ++_flushes;
     HT_TRACE_INSTANT1(TraceCategory::Tlb, "tlb.flushAll",
                       TraceSink::global().now(), "invalidated", killed);
@@ -82,8 +83,8 @@ Tlb::flushPage(Addr va)
     TlbEntry *e = findEntry(pageNumber(va));
     if (!e)
         return; // no matching entry: nothing was flushed
-    e->valid = false;
     _probeValid[static_cast<std::size_t>(e - _entries.data())] = 0;
+    --_live;
     ++_invalidations;
     ++_flushes;
     HT_TRACE_INSTANT1(TraceCategory::Tlb, "tlb.flushPage",

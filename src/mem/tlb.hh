@@ -7,6 +7,12 @@
  * bitmap, the TLB remembers the verdict so hits skip the check. The
  * EMCall flushes entries on enclave context switches and bitmap
  * updates, which is exactly the overhead Figure 11 measures.
+ *
+ * Validity lives in one place, the packed _probeValid byte array;
+ * TlbEntry holds only the payload of a way. A live-entry count makes
+ * a flush of an empty TLB free on the host, which is the common case
+ * in the management plane (every EMCall flushes, and EMS round trips
+ * retire no instructions in between).
  */
 
 #ifndef HYPERTEE_MEM_TLB_HH
@@ -22,9 +28,9 @@
 namespace hypertee
 {
 
+/** Payload of one TLB way; whether it is valid is Tlb's to say. */
 struct TlbEntry
 {
-    bool valid = false;
     Addr vpn = 0;
     Addr ppn = 0;
     std::uint64_t perms = 0;
@@ -61,7 +67,12 @@ class Tlb
     void insert(Addr va, Addr pa, std::uint64_t perms, KeyId key_id,
                 bool bitmap_checked);
 
-    /** Flush everything (enclave context switch). */
+    /**
+     * Flush everything (enclave context switch). Simulated: one
+     * flash-invalidate of every set, counted in flushes() even when
+     * nothing was cached. Host: free on an empty TLB, otherwise one
+     * clear of the valid-byte array.
+     */
     void flushAll();
 
     /** Flush one page's entry if present (targeted bitmap update). */
@@ -70,9 +81,10 @@ class Tlb
     std::uint64_t hits() const { return _hits; }
     std::uint64_t misses() const { return _misses; }
     /**
-     * Flush operations that invalidated at least one entry. A
-     * flushPage() that found nothing to kill does NOT count here —
-     * the Figure 11 overhead attribution depends on that distinction.
+     * Flush operations: every flushAll(), plus each flushPage() that
+     * invalidated an entry. A flushPage() that found nothing to kill
+     * does NOT count here — the Figure 11 overhead attribution
+     * depends on that distinction.
      */
     std::uint64_t flushes() const { return _flushes; }
     /** Every flushAll()/flushPage() call, matched or not. */
@@ -100,8 +112,8 @@ class Tlb
     }
 
     /**
-     * Fixed-width probe body over the packed vpn/valid shadow arrays
-     * (8+1 bytes per way instead of a full sizeof(TlbEntry) stride).
+     * Fixed-width probe body over the packed vpn/valid arrays (8+1
+     * bytes per way instead of a full sizeof(TlbEntry) stride).
      * The compile-time trip count fully unrolls into W independent
      * compare/mask ops reduced through a bitmask — no data-dependent
      * break for the host to mispredict. VPNs within a set are unique
@@ -127,9 +139,7 @@ class Tlb
      * Matching entry or nullptr. _ways is fixed per TLB, so the
      * dispatch switch predicts perfectly; odd associativities fall
      * back to a runtime-width keep-last select chain with identical
-     * semantics. The shadows are kept in sync by insert(), flushAll()
-     * and flushPage(); _entries stays the source of truth for
-     * everything but the probe.
+     * semantics.
      */
     TlbEntry *
     findEntry(Addr vpn)
@@ -158,9 +168,12 @@ class Tlb
     /** _sets - 1 when _sets is a power of two, else 0 (use modulo). */
     std::size_t _setMask = 0;
     std::vector<TlbEntry> _entries;
-    /** Packed probe shadows of _entries' vpn/valid fields. */
+    /** Packed copy of _entries' vpn fields, for the probe. */
     std::vector<Addr> _probeVpn;
+    /** The only record of which ways are valid (1) or not (0). */
     std::vector<std::uint8_t> _probeValid;
+    /** Number of 1 bytes in _probeValid. */
+    std::size_t _live = 0;
     std::uint64_t _stamp = 0;
     std::uint64_t _hits = 0;
     std::uint64_t _misses = 0;

@@ -77,4 +77,44 @@ WorkloadRunner::runEnclave(const WorkloadProfile &profile,
     return result;
 }
 
+RunStats
+WorkloadRunner::runSwitching(const WorkloadProfile &profile, double hz)
+{
+    EnclaveConfig cfg;
+    cfg.heapPages = pagesFor(profile.workingSetBytes);
+    EnclaveHandle enclave(*_sys, _core, cfg, /*charge_core=*/false);
+    enclave.addImage(Bytes(profile.imageBytes, 0x3c),
+                     EnclaveLayout::codeBase, PteRead | PteExec);
+    enclave.measure();
+    enclave.enter();
+
+    SyntheticWorkload stream(profile, EnclaveLayout::heapBase, 0, 1);
+    Core &core = _sys->core(_core);
+
+    if (hz <= 0)
+        return core.run(stream);
+
+    // Convert the wall-clock switch rate into an instruction quantum
+    // using the measured execution rate, then run quantum-by-quantum.
+    enclave.setChargeCore(true);
+    const std::uint64_t probe = 500'000;
+    RunStats total = core.run(stream, probe);
+    double ticks_per_inst =
+        double(total.ticks) / double(total.instructions);
+    double insts_per_second = ticksPerSecond / ticks_per_inst;
+    std::uint64_t quantum =
+        static_cast<std::uint64_t>(insts_per_second / hz);
+
+    while (true) {
+        core.mmu().flushTlbs();
+        core.hierarchy().l1().invalidateAll();
+        enclave.resume();
+        RunStats chunk = core.run(stream, quantum);
+        if (chunk.instructions == 0)
+            break;
+        total.add(chunk);
+    }
+    return total;
+}
+
 } // namespace hypertee

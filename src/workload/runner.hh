@@ -62,6 +62,17 @@ class WorkloadRunner
                                 std::uint64_t seed = 1,
                                 bool charge_primitives = true);
 
+    /**
+     * Figure 11 scenario: run @p profile in an enclave that is
+     * context-switched at @p hz (wall-clock switches per second;
+     * <= 0 runs without switching). Each switch models an AEX plus
+     * a later ERESUME: both TLB levels are flushed, the other
+     * context pollutes the L1, and the ERESUME round trip stalls the
+     * core. The TLB counters stay readable on the core's MMU
+     * afterwards.
+     */
+    RunStats runSwitching(const WorkloadProfile &profile, double hz);
+
   private:
     HyperTeeSystem *_sys;
     unsigned _core;

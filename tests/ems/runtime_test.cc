@@ -319,6 +319,109 @@ TEST_F(RuntimeFixture, FreeOfForeignPagesRejected)
               PrimStatus::NotFound);
 }
 
+TEST_F(RuntimeFixture, RejectedFreeLeavesTheRangeMappedAndFreeable)
+{
+    // Regression: EFREE unmapped and forgot each page before checking
+    // the next, so a request that failed part-way lost the pages it
+    // had already passed. The retry could not find them, EDESTROY did
+    // not scrub them, and they stayed owned by the dead enclave.
+    EnclaveId id = makeMeasuredEnclave();
+    ASSERT_EQ(invoke(PrimitiveOp::EEnter, PrivMode::Supervisor, {id})
+                  .status,
+              PrimStatus::Ok);
+    const Addr v = 0x5000'0000;
+    PrimitiveResponse r =
+        invoke(PrimitiveOp::EAlloc, PrivMode::User, {1, v}, id);
+    ASSERT_EQ(r.status, PrimStatus::Ok);
+    ASSERT_EQ(r.results.at(0), v);
+    const PageTable *pt = rt->enclavePageTable(id);
+    const Addr ppn = pageNumber(pt->walk(v).pa);
+
+    // v is mapped, v + 4 KiB is not: the whole request is refused.
+    EXPECT_EQ(invoke(PrimitiveOp::EFree, PrivMode::User, {v, 2}, id)
+                  .status,
+              PrimStatus::NotFound);
+    EXPECT_TRUE(pt->walk(v).valid) << "rejected EFREE unmapped v";
+    EXPECT_TRUE(rt->ownership().ownedBy(ppn, id));
+    EXPECT_TRUE(bitmap.isEnclavePage(ppn));
+
+    EXPECT_EQ(invoke(PrimitiveOp::EFree, PrivMode::User, {v, 1}, id)
+                  .status,
+              PrimStatus::Ok);
+    EXPECT_FALSE(pt->walk(v).valid);
+    EXPECT_FALSE(bitmap.isEnclavePage(ppn));
+
+    ASSERT_EQ(invoke(PrimitiveOp::EExit, PrivMode::User, {}, id).status,
+              PrimStatus::Ok);
+    ASSERT_EQ(invoke(PrimitiveOp::EDestroy, PrivMode::Supervisor, {id})
+                  .status,
+              PrimStatus::Ok);
+    EXPECT_TRUE(rt->ownership().pagesOf(id).empty());
+    EXPECT_EQ(rt->ownership().lookup(ppn), nullptr);
+}
+
+TEST_F(RuntimeFixture, AllocOverAnExistingMappingIsRejected)
+{
+    // An EALLOC whose range overlaps a live mapping used to take and
+    // claim pool frames, then panic the simulator on the double map.
+    EnclaveId id = makeMeasuredEnclave();
+    const Addr v = 0x5000'0000;
+    ASSERT_EQ(invoke(PrimitiveOp::EAlloc, PrivMode::User, {1, v}, id)
+                  .status,
+              PrimStatus::Ok);
+    const PageTable *pt = rt->enclavePageTable(id);
+    const Addr pa = pt->walk(v).pa;
+    const EnclaveControl *ctl = rt->enclave(id);
+
+    auto enclave_pages_in_cs = [&] {
+        std::size_t set = 0;
+        for (Addr ppn = pageNumber(kCsBase);
+             ppn < pageNumber(kCsBase + kCsSize); ++ppn)
+            set += bitmap.isEnclavePage(ppn) ? 1 : 0;
+        return set;
+    };
+    const std::size_t pool_free = rt->pool().freePages();
+    const std::size_t owned = rt->ownership().size();
+    const std::size_t bitmap_set = enclave_pages_in_cs();
+    const std::size_t pages = ctl->pages.size();
+    const Addr cursor = ctl->heapCursor;
+
+    struct Overlap
+    {
+        Addr va;
+        std::uint64_t pages;
+    };
+    for (Overlap o : {Overlap{v, 1}, Overlap{v - pageSize, 2},
+                      Overlap{v - 3 * pageSize, 8},
+                      Overlap{EnclaveLayout::codeBase, 1},
+                      Overlap{cursor - pageSize, 1}}) {
+        SCOPED_TRACE(testing::Message() << "va " << o.va);
+        EXPECT_EQ(invoke(PrimitiveOp::EAlloc, PrivMode::User,
+                         {o.pages, o.va}, id)
+                      .status,
+                  PrimStatus::AlreadyExists);
+    }
+    // The heap cursor path checks the same way: map the page it would
+    // hand out next, then ask for it implicitly.
+    ASSERT_EQ(invoke(PrimitiveOp::EAlloc, PrivMode::User, {1, cursor},
+                     id)
+                  .status,
+              PrimStatus::Ok);
+    const std::size_t pool_after_cursor_map = rt->pool().freePages();
+    EXPECT_EQ(invoke(PrimitiveOp::EAlloc, PrivMode::User, {2}, id)
+                  .status,
+              PrimStatus::AlreadyExists);
+    EXPECT_EQ(ctl->heapCursor, cursor);
+
+    EXPECT_EQ(rt->pool().freePages(), pool_after_cursor_map);
+    EXPECT_EQ(pool_after_cursor_map + 1, pool_free);
+    EXPECT_EQ(rt->ownership().size(), owned + 1);
+    EXPECT_EQ(enclave_pages_in_cs(), bitmap_set + 1);
+    EXPECT_EQ(ctl->pages.size(), pages + 1);
+    EXPECT_EQ(pt->walk(v).pa, pa);
+    EXPECT_FALSE(pt->walk(v - pageSize).valid);
+}
+
 TEST_F(RuntimeFixture, DestroyScrubsEverything)
 {
     EnclaveId id = makeMeasuredEnclave();

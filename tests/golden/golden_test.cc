@@ -153,6 +153,44 @@ TEST(Golden, Fig10BitmapOverheads)
 }
 
 /**
+ * Figure 11 scenario at a reduced instruction budget: miniz in an
+ * enclave at two working-set sizes, unswitched and context-switched
+ * at 100 and 400 Hz. Every switch flushes both TLB levels while they
+ * hold live translations, so this pins the flush and invalidation
+ * counts of the dTLB and the STLB alongside the run's ticks.
+ */
+TEST(Golden, Fig11TlbFlushOverheads)
+{
+    logging_detail::setVerbose(false);
+    GoldenMap actual;
+    for (Addr mb : {Addr(2), Addr(8)}) {
+        WorkloadProfile profile = minizProfile(mb << 20);
+        profile.instructions = 2'000'000;
+        for (double hz : {0.0, 100.0, 400.0}) {
+            SystemParams params = evalSystem(true);
+            params.csMemSize = 1024ULL << 20;
+            params.ems.pool.initialPages = 40000;
+            HyperTeeSystem sys(params);
+            WorkloadRunner runner(sys);
+            RunStats run = runner.runSwitching(profile, hz);
+
+            Mmu &mmu = sys.core(0).mmu();
+            const std::string prefix = std::to_string(mb) + "MB." +
+                                       std::to_string(int(hz)) + "hz";
+            actual[prefix + ".ticks"] = run.ticks;
+            actual[prefix + ".tlb_misses"] = run.tlbMisses;
+            actual[prefix + ".dtlb_flushes"] = mmu.tlb().flushes();
+            actual[prefix + ".dtlb_invalidations"] =
+                mmu.tlb().invalidations();
+            actual[prefix + ".stlb_flushes"] = mmu.stlb().flushes();
+            actual[prefix + ".stlb_invalidations"] =
+                mmu.stlb().invalidations();
+        }
+    }
+    checkGolden("fig11_tlbflush.golden", actual);
+}
+
+/**
  * The exact bench_fleet_slo --smoke sweep (same scenario list, same
  * seed): every load point's throughput/rejection counters and the
  * attest-class latency quantiles, pinned to the tick. This is the
