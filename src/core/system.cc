@@ -140,78 +140,6 @@ HyperTeeSystem::osFreeFrames(const std::vector<Addr> &ppns)
 }
 
 void
-HyperTeeSystem::dumpStats(std::ostream &os) const
-{
-    auto line = [&os](const std::string &name, double value) {
-        os << name << ' ' << value << '\n';
-    };
-
-    for (std::size_t i = 0; i < _cores.size(); ++i) {
-        const std::string prefix = "system.cs.core" + std::to_string(i);
-        Core &core = *_cores[i];
-        line(prefix + ".dtlb.hits", double(core.mmu().tlb().hits()));
-        line(prefix + ".dtlb.misses",
-             double(core.mmu().tlb().misses()));
-        line(prefix + ".dtlb.flushes",
-             double(core.mmu().tlb().flushes()));
-        line(prefix + ".dtlb.flushRequests",
-             double(core.mmu().tlb().flushRequests()));
-        line(prefix + ".dtlb.invalidations",
-             double(core.mmu().tlb().invalidations()));
-        if (core.mmu().hasStlb()) {
-            line(prefix + ".stlb.hits", double(core.mmu().stlbHits()));
-        }
-        line(prefix + ".bitmap.retrievals",
-             double(core.mmu().bitmapRetrievals()));
-        line(prefix + ".bitmap.violations",
-             double(core.mmu().bitmapViolations()));
-        line(prefix + ".l1d.hits",
-             double(core.hierarchy().l1().hits()));
-        line(prefix + ".l1d.misses",
-             double(core.hierarchy().l1().misses()));
-        line(prefix + ".l2.hits", double(core.hierarchy().l2().hits()));
-        line(prefix + ".l2.misses",
-             double(core.hierarchy().l2().misses()));
-        line(prefix + ".dram.accesses",
-             double(core.hierarchy().dramAccesses()));
-        line(prefix + ".bp.lookups",
-             double(core.predictor().lookups()));
-        line(prefix + ".bp.mispredicts",
-             double(core.predictor().mispredicts()));
-        line(prefix + ".emcall.issued",
-             double(_emCalls[i]->requestsIssued()));
-        line(prefix + ".emcall.blockedCrossPriv",
-             double(_emCalls[i]->blockedCrossPrivilege()));
-    }
-
-    line("system.ihub.blockedCsAccesses",
-         double(_ihub->blockedCsAccesses()));
-    line("system.ihub.mailbox.rejected",
-         double(_ihub->mailbox().requestsRejected()));
-    line("system.ihub.dma.discarded",
-         double(_ihub->dmaWhitelist().discarded()));
-    line("system.ems.pool.freePages", double(_ems->pool().freePages()));
-    line("system.ems.pool.osRequests",
-         double(_ems->pool().osRequests()));
-    line("system.ems.sanityRejections",
-         double(_ems->sanityRejections()));
-    line("system.ems.shmGuessRejections",
-         double(_ems->shmGuessRejections()));
-    line("system.ems.ownership.pages",
-         double(_ems->ownership().size()));
-    line("system.ems.ownership.conflicts",
-         double(_ems->ownership().conflicts()));
-    line("system.bitmap.enclavePages",
-         double(_bitmap->enclavePageCount()));
-    line("system.bitmap.updates", double(_bitmap->updates()));
-    line("system.encEngine.usedSlots",
-         double(_encEngine->usedSlots()));
-    line("system.integEngine.violations",
-         double(_integEngine->violations()));
-    line("system.os.poolGrants", double(_osPoolGrants));
-}
-
-void
 HyperTeeSystem::osMapRange(Addr va, Addr bytes, std::uint64_t perms)
 {
     for (Addr off = 0; off < bytes; off += pageSize) {

@@ -14,7 +14,6 @@
 #define HYPERTEE_CORE_SYSTEM_HH
 
 #include <memory>
-#include <ostream>
 #include <vector>
 
 #include "cpu/core.hh"
@@ -80,9 +79,6 @@ class HyperTeeSystem
 
     /** Frames the OS handed to the EMS pool (attack observable). */
     std::uint64_t osPoolGrants() const { return _osPoolGrants; }
-
-    /** gem5-style stats dump over every component. */
-    void dumpStats(std::ostream &os) const;
 
   private:
     SystemParams _p;

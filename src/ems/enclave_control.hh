@@ -29,7 +29,6 @@ struct EnclaveConfig
     std::size_t stackPages = 16;
     std::size_t heapPages = 64;    ///< initial heap reservation
     std::size_t maxShmPages = 256; ///< shared-memory window budget
-    Addr entryVa = 0x1000'0000;    ///< code/entry base address
 };
 
 /** Canonical virtual layout inside an enclave address space. */
@@ -66,7 +65,6 @@ struct EnclaveControl
     /** Private data pages (PPNs), page-table frames excluded. */
     std::vector<Addr> pages;
 
-    Addr nextCodeVa = EnclaveLayout::codeBase;
     Addr heapCursor = EnclaveLayout::heapBase;
     Addr shmCursor = EnclaveLayout::shmBase;
 

@@ -185,34 +185,40 @@ PageTable::FrameAllocator
 EmsRuntime::makeFrameAllocator(EnclaveId owner)
 {
     return [this, owner]() -> Addr {
-        std::vector<Addr> got = _pool->allocate(1);
+        std::vector<Addr> got = grantPages(1, owner, PageKind::PageTable,
+                                           0, _pendingFrameCharge);
         fatalIf(got.empty(), "enclave memory pool exhausted while "
                              "allocating a page-table frame");
-        Addr ppn = got[0];
-        _port->zeroCs(ppn << pageShift, pageSize);
-        bool claimed = _ownership.claim(ppn, owner, PageKind::PageTable);
-        panicIf(!claimed, "page-table frame already owned");
-        _port->setBitmapBit(ppn, true);
-        _pendingFrameCharge +=
-            _cost.perPageZeroTime(1) + _cost.perPageMapTime(1);
-        return ppn << pageShift;
+        return got[0] << pageShift;
     };
 }
 
-Addr
-EmsRuntime::takePoolPage(EnclaveId owner, PageKind kind, Tick &service)
+std::vector<Addr>
+EmsRuntime::grantPages(std::size_t n, EnclaveId owner, PageKind kind,
+                       ShmId shm, Tick &service)
 {
-    std::vector<Addr> got = _pool->allocate(1);
-    if (got.empty())
-        return 0;
-    Addr ppn = got[0];
-    _port->zeroCs(ppn << pageShift, pageSize);
-    service += _cost.perPageZeroTime(1);
-    bool claimed = _ownership.claim(ppn, owner, kind);
-    panicIf(!claimed, "pool page already owned: ", ppn);
-    _port->setBitmapBit(ppn, true);
-    service += _cost.perPageMapTime(1);
-    return ppn << pageShift;
+    std::vector<Addr> ppns = _pool->allocate(n);
+    if (ppns.size() != n)
+        return {};
+    for (Addr ppn : ppns) {
+        _port->zeroCs(ppn << pageShift, pageSize);
+        bool claimed = _ownership.claim(ppn, owner, kind, shm);
+        panicIf(!claimed, "pool page already owned: ", ppn);
+        _port->setBitmapBit(ppn, true);
+    }
+    service += _cost.perPageZeroTime(n) + _cost.perPageMapTime(n);
+    return ppns;
+}
+
+bool
+EmsRuntime::rangeUnmapped(const EnclaveControl &enc, Addr va,
+                          std::size_t n) const
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        if (enc.pageTable->walk(va + i * pageSize).valid)
+            return false;
+    }
+    return true;
 }
 
 void
@@ -235,6 +241,31 @@ EmsRuntime::scrubAndReturn(const std::vector<Addr> &ppns, Tick &service)
     service += _cost.perPageZeroTime(ppns.size());
     service += _cost.perPageMapTime(ppns.size());
     _pool->release(ppns);
+}
+
+void
+EmsRuntime::teardown(EnclaveId id, Tick &service)
+{
+    EnclaveControl &enc = _enclaves.at(id);
+    // A destroyed enclave must not leave attached shared memory.
+    for (auto &[shm_id, va] : enc.attachedShm) {
+        (void)va;
+        auto it = _shms.find(shm_id);
+        if (it != _shms.end())
+            it->second.attached.erase(id);
+    }
+
+    // Scrub every private page and page-table frame, then recycle.
+    scrubAndReturn(enc.pages, service);
+    std::vector<Addr> pt_frames;
+    for (Addr frame : enc.pageTable->tableFrames())
+        pt_frames.push_back(pageNumber(frame));
+    enc.pageTable.reset();
+    scrubAndReturn(pt_frames, service);
+
+    if (enc.keyId != 0)
+        _port->releaseKey(enc.keyId);
+    _enclaves.erase(id);
 }
 
 PrimitiveResponse
@@ -357,18 +388,15 @@ EmsRuntime::doCreate(const PrimitiveRequest &req, Tick &service)
     // the data pages form a contiguous physical run (matching how a
     // host process is laid out) before any page-table frames are
     // interleaved.
-    std::vector<Addr> frames =
-        _pool->allocate(cfg.stackPages + cfg.heapPages);
-    if (frames.size() != cfg.stackPages + cfg.heapPages)
+    std::vector<Addr> frames = grantPages(cfg.stackPages + cfg.heapPages,
+                                          id, PageKind::Private, 0,
+                                          service);
+    if (frames.empty()) {
+        // Nothing half-built survives: the root table frame and the
+        // KeyID go back.
+        teardown(id, service);
         return reject(PrimStatus::OutOfMemory);
-    for (Addr ppn : frames) {
-        _port->zeroCs(ppn << pageShift, pageSize);
-        bool claimed = _ownership.claim(ppn, id, PageKind::Private);
-        panicIf(!claimed, "pool page already owned");
-        _port->setBitmapBit(ppn, true);
     }
-    service += _cost.perPageZeroTime(frames.size()) +
-               _cost.perPageMapTime(frames.size());
 
     Addr stack_base =
         EnclaveLayout::stackTop - cfg.stackPages * pageSize;
@@ -403,10 +431,14 @@ EmsRuntime::doAdd(const PrimitiveRequest &req, Tick &service)
                           (PteRead | PteWrite | PteExec);
     if (va % pageSize != 0 || perms == 0)
         return reject(PrimStatus::InvalidArgument);
+    if (!rangeUnmapped(*enc, va, 1))
+        return reject(PrimStatus::AlreadyExists);
 
-    Addr pa = takePoolPage(enc->id, PageKind::Private, service);
-    if (pa == 0)
+    std::vector<Addr> got =
+        grantPages(1, enc->id, PageKind::Private, 0, service);
+    if (got.empty())
         return reject(PrimStatus::OutOfMemory);
+    Addr pa = got[0] << pageShift;
 
     // Copy the page image into enclave memory and extend the
     // running measurement (billed at EMEAS, Table IV).
@@ -422,7 +454,7 @@ EmsRuntime::doAdd(const PrimitiveRequest &req, Tick &service)
     enc->measureCtx->update(meta, sizeof(meta));
     enc->measuredBytes += pageSize + sizeof(meta);
 
-    mapEnclavePage(*enc, va, pageNumber(pa), perms, service);
+    mapEnclavePage(*enc, va, got[0], perms, service);
 
     PrimitiveResponse resp;
     resp.flags = kFlagFlushTlb;
@@ -491,29 +523,9 @@ EmsRuntime::doDestroy(const PrimitiveRequest &req, Tick &service)
     if (req.args.size() != 1)
         return reject(PrimStatus::InvalidArgument);
     EnclaveId id = static_cast<EnclaveId>(req.args[0]);
-    EnclaveControl *enc = liveEnclave(id);
-    if (!enc)
+    if (!liveEnclave(id))
         return reject(PrimStatus::NotFound);
-
-    // A destroyed enclave must not leave attached shared memory.
-    for (auto &[shm_id, va] : enc->attachedShm) {
-        (void)va;
-        auto it = _shms.find(shm_id);
-        if (it != _shms.end())
-            it->second.attached.erase(id);
-    }
-
-    // Scrub every private page and page-table frame, then recycle.
-    scrubAndReturn(enc->pages, service);
-    std::vector<Addr> pt_frames;
-    for (Addr frame : enc->pageTable->tableFrames())
-        pt_frames.push_back(pageNumber(frame));
-    enc->pageTable.reset();
-    scrubAndReturn(pt_frames, service);
-
-    if (enc->keyId != 0)
-        _port->releaseKey(enc->keyId);
-    _enclaves.erase(id);
+    teardown(id, service);
 
     PrimitiveResponse resp;
     resp.flags = kFlagFlushTlb | kFlagExitEnclave;
@@ -538,22 +550,12 @@ EmsRuntime::doAlloc(const PrimitiveRequest &req, Tick &service)
 
     Addr va = req.args.size() == 2 ? pageAlign(req.args[1])
                                    : enc->heapCursor;
-    // Refuse a range that overlaps an existing mapping before any
-    // pool frame, ownership record or bitmap bit changes.
-    for (std::size_t i = 0; i < n; ++i) {
-        if (enc->pageTable->walk(va + i * pageSize).valid)
-            return reject(PrimStatus::AlreadyExists);
-    }
-    std::vector<Addr> frames = _pool->allocate(n);
-    if (frames.size() != n)
+    if (!rangeUnmapped(*enc, va, n))
+        return reject(PrimStatus::AlreadyExists);
+    std::vector<Addr> frames =
+        grantPages(n, enc->id, PageKind::Private, 0, service);
+    if (frames.empty())
         return reject(PrimStatus::OutOfMemory);
-    for (Addr ppn : frames) {
-        _port->zeroCs(ppn << pageShift, pageSize);
-        bool claimed = _ownership.claim(ppn, enc->id, PageKind::Private);
-        panicIf(!claimed, "pool page already owned");
-        _port->setBitmapBit(ppn, true);
-    }
-    service += _cost.perPageZeroTime(n) + _cost.perPageMapTime(n);
     for (std::size_t i = 0; i < n; ++i) {
         mapEnclavePage(*enc, va + i * pageSize, frames[i],
                        PteRead | PteWrite, service);
@@ -673,19 +675,11 @@ EmsRuntime::doShmGet(const PrimitiveRequest &req, Tick &service)
     if (shm.keyId == 0)
         return reject(PrimStatus::OutOfMemory);
 
-    for (std::size_t i = 0; i < n; ++i) {
-        std::vector<Addr> got = _pool->allocate(1);
-        if (got.empty())
-            return reject(PrimStatus::OutOfMemory);
-        Addr ppn = got[0];
-        _port->zeroCs(ppn << pageShift, pageSize);
-        bool claimed =
-            _ownership.claim(ppn, enc->id, PageKind::Shared, id);
-        panicIf(!claimed, "shm page already owned");
-        _port->setBitmapBit(ppn, true);
-        shm.pages.push_back(ppn);
+    shm.pages = grantPages(n, enc->id, PageKind::Shared, id, service);
+    if (shm.pages.empty()) {
+        _port->releaseKey(shm.keyId);
+        return reject(PrimStatus::OutOfMemory);
     }
-    service += _cost.perPageZeroTime(n) + _cost.perPageMapTime(n);
 
     // The creator joins its own legal connection list at max perms.
     shm.legalConnections[enc->id] = max_perms;
@@ -755,6 +749,8 @@ EmsRuntime::doShmAt(const PrimitiveRequest &req, Tick &service)
     }
 
     Addr va = enc->shmCursor;
+    if (!rangeUnmapped(*enc, va, shm.pages.size()))
+        return reject(PrimStatus::AlreadyExists);
     for (std::size_t i = 0; i < shm.pages.size(); ++i) {
         enc->pageTable->map(va + i * pageSize,
                             shm.pages[i] << pageShift,

@@ -137,10 +137,24 @@ class EmsRuntime
 
     EnclaveControl *liveEnclave(EnclaveId id);
     KeyId assignKeyId(const Bytes &key, Tick &service);
-    Addr takePoolPage(EnclaveId owner, PageKind kind, Tick &service);
+    /**
+     * The one way a CS page leaves the pool: draw @p n pages all or
+     * nothing, then zero, claim and bitmap-protect each one and charge
+     * the zero and map time. Returns the PPNs, or empty (no page
+     * taken, nothing charged) when the pool cannot supply @p n.
+     */
+    std::vector<Addr> grantPages(std::size_t n, EnclaveId owner,
+                                 PageKind kind, ShmId shm,
+                                 Tick &service);
+    /** The one way back: scrub, unprotect, disown and pool each page. */
+    void scrubAndReturn(const std::vector<Addr> &ppns, Tick &service);
+    /** True when no page of [va, va + n pages) is mapped in @p enc. */
+    bool rangeUnmapped(const EnclaveControl &enc, Addr va,
+                       std::size_t n) const;
     void mapEnclavePage(EnclaveControl &enc, Addr va, Addr ppn,
                         std::uint64_t perms, Tick &service);
-    void scrubAndReturn(const std::vector<Addr> &ppns, Tick &service);
+    /** Scrub and return every page of a live enclave, then forget it. */
+    void teardown(EnclaveId id, Tick &service);
 
     PrimitiveResponse doCreate(const PrimitiveRequest &, Tick &);
     PrimitiveResponse doAdd(const PrimitiveRequest &, Tick &);

@@ -8,7 +8,9 @@
  * `--perf-json` files and tools/bench_report diffs two committed
  * `BENCH_<date>.json` baselines. This is a strict recursive-descent
  * parser for that closed world — no comments, no trailing commas, no
- * NaN/Inf — mirroring exactly what jsonLooksValid() accepts.
+ * NaN/Inf, whitespace limited to space/tab/CR/LF, nesting at most 64
+ * deep. It is the repo's one JSON reader: jsonLooksValid() is a parse
+ * that discards the result.
  *
  * Object members preserve insertion order so a parse → re-emit round
  * trip of a baseline file is stable under diff.

@@ -1,10 +1,9 @@
 #include "sim/stats_export.hh"
 
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 
+#include "sim/json.hh"
 #include "sim/stats.hh"
 
 namespace hypertee
@@ -27,7 +26,7 @@ JsonWriter::separate()
 }
 
 void
-JsonWriter::writeString(const std::string &s)
+JsonWriter::writeString(std::string_view s)
 {
     _os << '"';
     for (char c : s) {
@@ -81,7 +80,7 @@ JsonWriter::endArray()
 }
 
 void
-JsonWriter::key(const std::string &name)
+JsonWriter::key(std::string_view name)
 {
     separate();
     writeString(name);
@@ -118,7 +117,7 @@ JsonWriter::value(std::uint64_t v)
 }
 
 void
-JsonWriter::value(const std::string &v)
+JsonWriter::value(std::string_view v)
 {
     separate();
     writeString(v);
@@ -127,7 +126,7 @@ JsonWriter::value(const std::string &v)
 void
 JsonWriter::value(const char *v)
 {
-    value(std::string(v));
+    value(std::string_view(v));
 }
 
 void
@@ -211,167 +210,10 @@ dumpStatsJson(std::ostream &os,
 
 // ------------------------------------------------------- jsonLooksValid
 
-namespace
-{
-
-struct JsonChecker
-{
-    const std::string &text;
-    std::size_t pos = 0;
-
-    void
-    skipWs()
-    {
-        while (pos < text.size() &&
-               std::isspace(static_cast<unsigned char>(text[pos])))
-            ++pos;
-    }
-
-    bool
-    consume(char c)
-    {
-        skipWs();
-        if (pos < text.size() && text[pos] == c) {
-            ++pos;
-            return true;
-        }
-        return false;
-    }
-
-    bool
-    literal(const char *word)
-    {
-        std::size_t n = std::string(word).size();
-        if (text.compare(pos, n, word) == 0) {
-            pos += n;
-            return true;
-        }
-        return false;
-    }
-
-    bool
-    string()
-    {
-        if (!consume('"'))
-            return false;
-        while (pos < text.size()) {
-            char c = text[pos];
-            if (c == '"') {
-                ++pos;
-                return true;
-            }
-            if (c == '\\') {
-                ++pos;
-                if (pos >= text.size())
-                    return false;
-                char e = text[pos];
-                if (e == 'u') {
-                    for (int i = 0; i < 4; ++i) {
-                        ++pos;
-                        if (pos >= text.size() ||
-                            !std::isxdigit(static_cast<unsigned char>(
-                                text[pos])))
-                            return false;
-                    }
-                } else if (!std::strchr("\"\\/bfnrt", e)) {
-                    return false;
-                }
-            } else if (static_cast<unsigned char>(c) < 0x20) {
-                return false;
-            }
-            ++pos;
-        }
-        return false; // unterminated
-    }
-
-    bool
-    number()
-    {
-        std::size_t start = pos;
-        if (pos < text.size() && text[pos] == '-')
-            ++pos;
-        std::size_t digits = pos;
-        while (pos < text.size() &&
-               std::isdigit(static_cast<unsigned char>(text[pos])))
-            ++pos;
-        if (pos == digits)
-            return false;
-        if (pos < text.size() && text[pos] == '.') {
-            ++pos;
-            std::size_t frac = pos;
-            while (pos < text.size() &&
-                   std::isdigit(static_cast<unsigned char>(text[pos])))
-                ++pos;
-            if (pos == frac)
-                return false;
-        }
-        if (pos < text.size() && (text[pos] == 'e' || text[pos] == 'E')) {
-            ++pos;
-            if (pos < text.size() &&
-                (text[pos] == '+' || text[pos] == '-'))
-                ++pos;
-            std::size_t exp = pos;
-            while (pos < text.size() &&
-                   std::isdigit(static_cast<unsigned char>(text[pos])))
-                ++pos;
-            if (pos == exp)
-                return false;
-        }
-        return pos > start;
-    }
-
-    bool
-    value()
-    {
-        skipWs();
-        if (pos >= text.size())
-            return false;
-        char c = text[pos];
-        if (c == '{') {
-            ++pos;
-            skipWs();
-            if (consume('}'))
-                return true;
-            do {
-                skipWs();
-                if (!string() || !consume(':') || !value())
-                    return false;
-            } while (consume(','));
-            return consume('}');
-        }
-        if (c == '[') {
-            ++pos;
-            skipWs();
-            if (consume(']'))
-                return true;
-            do {
-                if (!value())
-                    return false;
-            } while (consume(','));
-            return consume(']');
-        }
-        if (c == '"')
-            return string();
-        if (c == 't')
-            return literal("true");
-        if (c == 'f')
-            return literal("false");
-        if (c == 'n')
-            return literal("null");
-        return number();
-    }
-};
-
-} // namespace
-
 bool
 jsonLooksValid(const std::string &text)
 {
-    JsonChecker checker{text};
-    if (!checker.value())
-        return false;
-    checker.skipWs();
-    return checker.pos == text.size();
+    return JsonValue::parse(text).has_value();
 }
 
 } // namespace hypertee

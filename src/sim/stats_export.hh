@@ -4,9 +4,9 @@
  *
  * StatGroup::dumpJson lives here (stats.hh only declares it) together
  * with the small machinery it needs: a streaming JsonWriter that
- * handles escaping and comma placement, and a strict-subset JSON
- * syntax checker used by tests and by the bench harness to verify
- * that emitted files actually parse before reporting success.
+ * handles escaping and comma placement (the repo's one JSON writer),
+ * and jsonLooksValid(), used by tests and by the bench harness to
+ * verify that emitted files actually parse before reporting success.
  */
 
 #ifndef HYPERTEE_SIM_STATS_EXPORT_HH
@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace hypertee
@@ -37,18 +38,18 @@ class JsonWriter
     void beginArray();
     void endArray();
 
-    void key(const std::string &name);
+    void key(std::string_view name);
 
     void value(double v);
     void value(std::uint64_t v);
-    void value(const std::string &v);
+    void value(std::string_view v);
     void value(const char *v);
     void value(bool v);
 
     /** key(name) + value(v). */
     template <typename T>
     void
-    member(const std::string &name, const T &v)
+    member(std::string_view name, const T &v)
     {
         key(name);
         value(v);
@@ -56,7 +57,7 @@ class JsonWriter
 
   private:
     void separate();
-    void writeString(const std::string &s);
+    void writeString(std::string_view s);
 
     std::ostream &_os;
     /** One entry per open container: has a member been written? */
@@ -69,10 +70,8 @@ void dumpStatsJson(std::ostream &os,
                    const std::vector<const StatGroup *> &groups);
 
 /**
- * Strict syntax check over a complete JSON document (objects, arrays,
- * strings, numbers, true/false/null). Returns true when @p text is a
- * single well-formed value with only trailing whitespace after it.
- * This is a validator, not a parser — no DOM is built.
+ * Strict syntax check over a complete JSON document: true exactly
+ * when JsonValue::parse (sim/json.hh) accepts @p text.
  */
 bool jsonLooksValid(const std::string &text);
 

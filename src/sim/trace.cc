@@ -1,53 +1,15 @@
 #include "sim/trace.hh"
 
-#include <cstdio>
 #include <cstring>
 #include <fstream>
+
+#include "sim/stats_export.hh"
 
 namespace hypertee
 {
 
 namespace
 {
-
-/** JSON string escaping for event names (categories are static). */
-void
-writeJsonString(std::ostream &os, std::string_view s)
-{
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\t': os << "\\t"; break;
-          case '\r': os << "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
-}
-
-/** Shortest round-trippable double; avoids locale surprises. */
-void
-writeJsonNumber(std::ostream &os, double v)
-{
-    if (v == static_cast<double>(static_cast<long long>(v)) &&
-        v >= -9.0e15 && v <= 9.0e15) {
-        os << static_cast<long long>(v);
-        return;
-    }
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    os << buf;
-}
 
 /**
  * Per-thread recording state: the shard tag stamped onto events and
@@ -253,40 +215,36 @@ void
 TraceSink::writeJson(std::ostream &os) const
 {
     std::lock_guard<std::mutex> lock(_mutex);
-    os << "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[";
-    bool first = true;
+    JsonWriter w(os);
+    w.beginObject();
+    w.member("displayTimeUnit", "ns");
+    w.key("traceEvents");
+    w.beginArray();
     for (const TraceEvent &ev : _events) {
-        if (!first)
-            os << ',';
-        first = false;
-        os << "\n{\"name\":";
-        writeJsonString(os, ev.name);
-        os << ",\"cat\":\"" << traceCategoryName(ev.cat) << '"';
-        os << ",\"ph\":\"" << ev.phase << '"';
+        os << '\n'; // one event per line
+        w.beginObject();
+        w.member("name", ev.name);
+        w.member("cat", traceCategoryName(ev.cat));
+        w.member("ph", std::string_view(&ev.phase, 1));
         // Chrome expects microseconds; ticks are picoseconds.
-        os << ",\"ts\":";
-        writeJsonNumber(os, static_cast<double>(ev.ts) / 1e6);
-        if (ev.phase == 'X') {
-            os << ",\"dur\":";
-            writeJsonNumber(os, static_cast<double>(ev.dur) / 1e6);
-        }
-        os << ",\"pid\":0,\"tid\":" << ev.tid;
+        w.member("ts", static_cast<double>(ev.ts) / 1e6);
+        if (ev.phase == 'X')
+            w.member("dur", static_cast<double>(ev.dur) / 1e6);
+        w.member("pid", std::uint64_t{0});
+        w.member("tid", std::uint64_t{ev.tid});
         if (!ev.args.empty()) {
-            os << ",\"args\":{";
-            bool first_arg = true;
-            for (const auto &[key, value] : ev.args) {
-                if (!first_arg)
-                    os << ',';
-                first_arg = false;
-                writeJsonString(os, key);
-                os << ':';
-                writeJsonNumber(os, value);
-            }
-            os << '}';
+            w.key("args");
+            w.beginObject();
+            for (const auto &[key, value] : ev.args)
+                w.member(key, value);
+            w.endObject();
         }
-        os << '}';
+        w.endObject();
     }
-    os << "\n]}\n";
+    os << '\n';
+    w.endArray();
+    w.endObject();
+    os << '\n';
 }
 
 bool

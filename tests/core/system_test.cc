@@ -210,6 +210,24 @@ TEST_F(SystemTest, OsSeesOnlyPoolGrantsNotPerAllocationEvents)
         << "per-allocation events are concealed from the OS";
 }
 
+TEST_F(SystemTest, CountersReflectActivity)
+{
+    // Before: no gate traffic.
+    EXPECT_EQ(sys.emCall(0).requestsIssued(), 0u);
+
+    EnclaveHandle enclave(sys, 0, EnclaveConfig{});
+    enclave.addImage(Bytes(pageSize, 1), EnclaveLayout::codeBase,
+                     PteRead | PteExec);
+    enclave.measure();
+
+    EXPECT_GT(sys.emCall(0).requestsIssued(), 0u)
+        << "gate activity must show up";
+    EXPECT_EQ(sys.emCall(1).requestsIssued(), 0u);
+    // Enclave pages got marked in the bitmap: the static allocation,
+    // the added image and the page-table frames.
+    EXPECT_GT(sys.bitmap().enclavePageCount(), 1u);
+}
+
 TEST_F(SystemTest, TwoCoresRunIndependentEnclaves)
 {
     EnclaveHandle a = measuredEnclave(0, 0x11);

@@ -23,6 +23,9 @@ struct RuntimeFixture : ::testing::Test
     IHub hub{&csMem, &emsMem, &bitmap, &enc};
     EmsPort &port = hub.emsPort();
     Addr frameCursor = kCsBase + 0x100000;
+    /** While set, the OS grants the pool nothing. */
+    bool osDry = false;
+    std::size_t osGranted = 0;
     std::unique_ptr<EmsRuntime> rt;
 
     void
@@ -38,6 +41,9 @@ struct RuntimeFixture : ::testing::Test
         params.pool.refillBatch = 512;
         auto os_alloc = [this](std::size_t n) {
             std::vector<Addr> out;
+            if (osDry)
+                return out;
+            osGranted += n;
             for (std::size_t i = 0; i < n; ++i) {
                 out.push_back(pageNumber(frameCursor));
                 frameCursor += pageSize;
@@ -420,6 +426,158 @@ TEST_F(RuntimeFixture, AllocOverAnExistingMappingIsRejected)
     EXPECT_EQ(ctl->pages.size(), pages + 1);
     EXPECT_EQ(pt->walk(v).pa, pa);
     EXPECT_FALSE(pt->walk(v - pageSize).valid);
+}
+
+TEST_F(RuntimeFixture, RejectedPrimitiveLeavesNoStateBehind)
+{
+    // Every rejection must leave the pool, the ownership table, the
+    // bitmap, the KeyIDs and the control structures as they were.
+    // ESHMGET and ECREATE used to keep what they had claimed before
+    // running out of memory, and EADD / ESHMAT over a live mapping
+    // panicked the simulator on the double map.
+    PrimitiveResponse r = invoke(PrimitiveOp::ECreate,
+                                 PrivMode::Supervisor, {4, 8, 8192});
+    ASSERT_EQ(r.status, PrimStatus::Ok);
+    const EnclaveId id = static_cast<EnclaveId>(r.results.at(0));
+    const Addr v = 0x5000'0000;
+    ASSERT_EQ(invoke(PrimitiveOp::EAdd, PrivMode::Supervisor,
+                     {id, EnclaveLayout::codeBase, PteRead | PteExec}, 0,
+                     Bytes(pageSize, 0x90))
+                  .status,
+              PrimStatus::Ok);
+    ASSERT_EQ(invoke(PrimitiveOp::EAlloc, PrivMode::User, {1, v}, id)
+                  .status,
+              PrimStatus::Ok);
+    // Occupy the VA the next ESHMAT would attach at.
+    ASSERT_EQ(invoke(PrimitiveOp::EAlloc, PrivMode::User,
+                     {1, EnclaveLayout::shmBase}, id)
+                  .status,
+              PrimStatus::Ok);
+    r = invoke(PrimitiveOp::EShmGet, PrivMode::User,
+               {4, PteRead | PteWrite}, id);
+    ASSERT_EQ(r.status, PrimStatus::Ok);
+    const std::uint64_t shm_id = r.results.at(0);
+
+    struct Snapshot
+    {
+        std::size_t owned;
+        std::uint64_t bitmapPages;
+        std::vector<KeyId> keys;
+        std::vector<bool> enclaves;
+        std::vector<bool> shms;
+        std::size_t poolFree;
+        std::size_t osGranted;
+    };
+    auto snapshot = [&] {
+        Snapshot s{rt->ownership().size(), bitmap.enclavePageCount(), {},
+                   {}, {}, rt->pool().freePages(), osGranted};
+        for (std::uint32_t k = 1; k <= 0xffff; ++k)
+            if (port.keyConfigured(static_cast<KeyId>(k)))
+                s.keys.push_back(static_cast<KeyId>(k));
+        for (std::uint32_t i = 1; i <= 8; ++i) {
+            s.enclaves.push_back(rt->enclave(i) != nullptr);
+            s.shms.push_back(rt->shm(i) != nullptr);
+        }
+        return s;
+    };
+
+    struct Row
+    {
+        const char *name;
+        PrimitiveOp op;
+        PrivMode mode;
+        std::vector<std::uint64_t> args;
+        EnclaveId caller;
+        Bytes payload;
+        bool osDry;
+        PrimStatus want;
+    };
+    const Row rows[] = {
+        {"ECREATE out of memory", PrimitiveOp::ECreate,
+         PrivMode::Supervisor, {4, 4096, 64}, 0, {}, true,
+         PrimStatus::OutOfMemory},
+        {"ESHMGET out of memory", PrimitiveOp::EShmGet, PrivMode::User,
+         {4096, PteRead | PteWrite}, id, {}, true,
+         PrimStatus::OutOfMemory},
+        {"EADD over an added page", PrimitiveOp::EAdd,
+         PrivMode::Supervisor,
+         {id, EnclaveLayout::codeBase, PteRead | PteExec}, 0,
+         Bytes(pageSize, 0x91), false, PrimStatus::AlreadyExists},
+        {"ESHMAT over an EALLOC mapping", PrimitiveOp::EShmAt,
+         PrivMode::User, {shm_id, PteRead | PteWrite}, id, {}, false,
+         PrimStatus::AlreadyExists},
+        {"EALLOC over a mapping", PrimitiveOp::EAlloc, PrivMode::User,
+         {2, v - pageSize}, id, {}, false, PrimStatus::AlreadyExists},
+        {"EFREE of a partly valid range", PrimitiveOp::EFree,
+         PrivMode::User, {v, 2}, id, {}, false, PrimStatus::NotFound},
+    };
+    for (const Row &row : rows) {
+        SCOPED_TRACE(row.name);
+        const Snapshot before = snapshot();
+        osDry = row.osDry;
+        EXPECT_EQ(invoke(row.op, row.mode, row.args, row.caller,
+                         row.payload)
+                      .status,
+                  row.want);
+        osDry = false;
+        const Snapshot after = snapshot();
+        EXPECT_EQ(after.owned, before.owned);
+        EXPECT_EQ(after.bitmapPages, before.bitmapPages);
+        EXPECT_EQ(after.keys, before.keys);
+        EXPECT_EQ(after.enclaves, before.enclaves);
+        EXPECT_EQ(after.shms, before.shms);
+        // Free pages grow only by what the OS refilled.
+        EXPECT_EQ(after.poolFree,
+                  before.poolFree + (after.osGranted - before.osGranted));
+    }
+}
+
+TEST_F(RuntimeFixture, ShmAtRejectsWhenItsWindowRunsOut)
+{
+    // ESHMAT never reuses a detached window: the shm cursor only
+    // grows, from shmBase up to the stack, whose 16 pages end at
+    // stackTop. Attaching over the stack used to panic the simulator
+    // on the double map.
+    PrimitiveResponse r = invoke(PrimitiveOp::ECreate,
+                                 PrivMode::Supervisor, {16, 8, 64});
+    ASSERT_EQ(r.status, PrimStatus::Ok);
+    const EnclaveId id = static_cast<EnclaveId>(r.results.at(0));
+    r = invoke(PrimitiveOp::EShmGet, PrivMode::User,
+               {4, PteRead | PteWrite}, id);
+    ASSERT_EQ(r.status, PrimStatus::Ok);
+    const std::uint64_t shm_id = r.results.at(0);
+
+    const Addr stack_base = EnclaveLayout::stackTop - 16 * pageSize;
+    ASSERT_EQ(stack_base, 0x6FFF'0000u);
+    const std::size_t window_cycles =
+        (stack_base - EnclaveLayout::shmBase) / (4 * pageSize);
+    ASSERT_EQ(window_cycles, 16'380u);
+
+    std::size_t cycles = 0;
+    for (;;) {
+        r = invoke(PrimitiveOp::EShmAt, PrivMode::User,
+                   {shm_id, PteRead | PteWrite}, id);
+        if (r.status != PrimStatus::Ok)
+            break;
+        ASSERT_EQ(invoke(PrimitiveOp::EShmDt, PrivMode::User, {shm_id},
+                         id)
+                      .status,
+                  PrimStatus::Ok);
+        ASSERT_LE(++cycles, window_cycles);
+    }
+    EXPECT_EQ(r.status, PrimStatus::AlreadyExists);
+    EXPECT_EQ(cycles, window_cycles);
+
+    // The stack is untouched and the region stays detached.
+    const EnclaveControl *ctl = rt->enclave(id);
+    EXPECT_EQ(ctl->shmCursor, stack_base);
+    EXPECT_TRUE(ctl->attachedShm.empty());
+    const WalkResult walk = rt->enclavePageTable(id)->walk(stack_base);
+    ASSERT_TRUE(walk.valid);
+    const PageOwner *owner = rt->ownership().lookup(pageNumber(walk.pa));
+    ASSERT_NE(owner, nullptr);
+    EXPECT_EQ(owner->kind, PageKind::Private);
+    EXPECT_TRUE(rt->shm(static_cast<ShmId>(shm_id))->attached.empty());
 }
 
 TEST_F(RuntimeFixture, DestroyScrubsEverything)

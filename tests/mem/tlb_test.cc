@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <random>
 #include <vector>
 
@@ -247,6 +248,14 @@ struct TlbGeometry
     std::size_t entries;
     std::size_t ways;
 };
+
+// Printed into the test names; the default byte dump would include the
+// name pointer, whose value changes from run to run under ASLR.
+void
+PrintTo(const TlbGeometry &g, std::ostream *os)
+{
+    *os << '{' << g.entries << ", " << g.ways << '}';
+}
 
 class TlbDifferential : public ::testing::TestWithParam<TlbGeometry>
 {};
