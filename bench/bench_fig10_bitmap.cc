@@ -95,7 +95,5 @@ main(int argc, char **argv)
     std::printf("\npaper: 1.9%% average, xalancbmk_r 4.6%% (TLB miss "
                 "rate 0.8%% vs <0.2%% elsewhere)\n");
 
-    StatGroup fig10_stats("fig10_bitmap");
-    merged.registerWith(fig10_stats);
-    return finishBench(opts, {&fig10_stats});
+    return finishBench(opts, {{"fig10_bitmap", &merged}});
 }

@@ -85,10 +85,7 @@ main(int argc, char **argv)
                            opts.smoke);
         });
 
-    StatGroup tlbflush_stats("fig11_tlbflush");
-    merged.registerWith(tlbflush_stats);
-
     std::printf("\npaper: <=1.81%% (32MB at 400Hz); overhead grows "
                 "with both size and switch rate but stays marginal\n");
-    return finishBench(opts, {&tlbflush_stats});
+    return finishBench(opts, {{"fig11_tlbflush", &merged}});
 }

@@ -136,7 +136,5 @@ main(int argc, char **argv)
                 "MobileNet >3.3x, MLPs >27.7x, NIC ~50x (crypto "
                 ">98%%)\n");
 
-    StatGroup fig12_stats("fig12_comm");
-    merged.registerWith(fig12_stats);
-    return finishBench(opts, {&fig12_stats});
+    return finishBench(opts, {{"fig12_comm", &merged}});
 }

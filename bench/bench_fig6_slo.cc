@@ -161,11 +161,8 @@ main(int argc, char **argv)
             return runCurve(curves[ctx.index], ctx);
         });
 
-    StatGroup slo_stats("fig6_slo");
-    merged.registerWith(slo_stats);
-
     std::printf("\npaper: a single in-order EMS core suffices for 4 "
                 "CS cores; dual in-order for 16; dual OoO tracks the "
                 "quad-OoO curve for 32/64.\n");
-    return finishBench(opts, {&slo_stats});
+    return finishBench(opts, {{"fig6_slo", &merged}});
 }

@@ -114,7 +114,5 @@ main(int argc, char **argv)
     printRow(avg_row);
     std::printf("\npaper: weak 5.7%%, medium 2.0%%, strong 1.9%%\n");
 
-    StatGroup fig7_stats("fig7_ems_config");
-    merged.registerWith(fig7_stats);
-    return finishBench(opts, {&fig7_stats});
+    return finishBench(opts, {{"fig7_ems_config", &merged}});
 }

@@ -95,7 +95,5 @@ main(int argc, char **argv)
     std::printf("\npaper: 6.3%% (2MB) .. 49.7%% (128KB) overhead; "
                 "fixed round-trip cost amortizes with size\n");
 
-    StatGroup fig8a_stats("fig8a_alloc");
-    merged.registerWith(fig8a_stats);
-    return finishBench(opts, {&fig8a_stats});
+    return finishBench(opts, {{"fig8a_alloc", &merged}});
 }

@@ -109,10 +109,7 @@ main(int argc, char **argv)
               pct(overhead, 2)},
              20);
 
-    StatGroup wolfssl_stats("fig9_wolfssl_mm");
-    merged.registerWith(wolfssl_stats);
-
     std::printf("\npaper: 0.9%% overhead for wolfSSL with all memory "
                 "management mechanisms\n");
-    return finishBench(opts, {&wolfssl_stats});
+    return finishBench(opts, {{"fig9_wolfssl_mm", &merged}});
 }

@@ -99,13 +99,10 @@ main(int argc, char **argv)
             return runScenario(scenarios[ctx.index]);
         });
 
-    StatGroup fleet_stats("fleet_slo");
-    merged.registerWith(fleet_stats);
-
     std::printf("\npaper: the decoupled EMS sustains thousands of "
                 "concurrent enclaves; latency stays flat until the "
                 "offered load crosses the EMS-core service capacity, "
                 "then the admission queue bounds the tail by "
                 "shedding load.\n");
-    return finishBench(opts, {&fleet_stats});
+    return finishBench(opts, {{"fleet_slo", &merged}});
 }

@@ -35,14 +35,14 @@ main(int argc, char **argv)
 
     // One latency distribution per primitive phase, sampled once per
     // (profile, engine) enclave run. Units: ticks (ps).
-    StatGroup prim_stats("primitives");
-    Distribution d_create, d_add, d_meas, d_enter_exit, d_destroy;
-    prim_stats.registerDistribution("ecreate_latency", &d_create);
-    prim_stats.registerDistribution("eadd_latency", &d_add);
-    prim_stats.registerDistribution("emeas_latency", &d_meas);
-    prim_stats.registerDistribution("eenter_eexit_latency",
-                                    &d_enter_exit);
-    prim_stats.registerDistribution("edestroy_latency", &d_destroy);
+    ShardStats prim_stats;
+    Distribution &d_create = prim_stats.distribution("ecreate_latency");
+    Distribution &d_add = prim_stats.distribution("eadd_latency");
+    Distribution &d_meas = prim_stats.distribution("emeas_latency");
+    Distribution &d_enter_exit =
+        prim_stats.distribution("eenter_eexit_latency");
+    Distribution &d_destroy =
+        prim_stats.distribution("edestroy_latency");
 
     double sum_nc = 0, sum_nc_meas = 0, sum_c = 0, sum_c_meas = 0;
     auto suite = rv8Profiles();
@@ -88,5 +88,5 @@ main(int argc, char **argv)
               pct(sum_c / n, 1), pct(sum_c_meas / n, 2)});
     std::printf("\npaper: Average 10.4%% / 7.8%% -> 2.5%% / 0.10%%\n");
 
-    return finishBench(opts, {&prim_stats});
+    return finishBench(opts, {{"primitives", &prim_stats}});
 }

@@ -97,7 +97,7 @@ evalSystem(bool crypto_engine = true)
  * Observability and parallelism flags shared by every bench:
  *   --trace=<path>             Chrome trace_event JSON of the run
  *   --trace-categories=<list>  comma list ("all" for everything)
- *   --stats-json=<path>        structured StatGroup export
+ *   --stats-json=<path>        structured ShardStats export
  *   --smoke                    shortened run for CI smoke tests
  *   --jobs=<n>                 worker threads for sharded sweeps
  *                              (0 = all host cores); results are
@@ -236,8 +236,7 @@ struct BenchShardResult
  * Fan @p count independent shard bodies across opts.jobs workers,
  * then render rows and merge stats in shard-index order, so stdout
  * and the stats export are byte-identical for every --jobs value.
- * @return the merged stats; keep them alive until finishBench (the
- * StatGroup registration is by pointer).
+ * @return the merged stats, to be handed to finishBench by name.
  */
 template <typename Fn>
 inline ShardStats
@@ -314,7 +313,7 @@ writePerfJson(const BenchOptions &opts)
  */
 inline int
 finishBench(const BenchOptions &opts,
-            const std::vector<const StatGroup *> &groups)
+            const std::vector<NamedStats> &groups)
 {
     int rc = 0;
     if (!opts.statsJsonPath.empty()) {

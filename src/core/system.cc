@@ -81,7 +81,7 @@ HyperTeeSystem::HyperTeeSystem(const SystemParams &params) : _p(params)
         auto core = std::make_unique<Core>(_p.csCore, _bitmap.get());
         core->hierarchy().attachEngines(_encEngine.get(),
                                         _integEngine.get());
-        core->hierarchy().setProtectionEnabled(_p.protectedMemory);
+        core->hierarchy().setProtectionEnabled(true);
         core->mmu().setPageTable(_hostPt.get());
 
         EmCallParams ep = _p.emcall;

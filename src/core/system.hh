@@ -39,7 +39,6 @@ struct SystemParams
     EmsRuntimeParams ems;
     std::size_t encryptionKeySlots = 64;
     std::uint64_t seed = 0x4242;
-    bool protectedMemory = true; ///< encryption+integrity on
 };
 
 class HyperTeeSystem

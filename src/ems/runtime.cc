@@ -743,10 +743,12 @@ EmsRuntime::doShmAt(const PrimitiveRequest &req, Tick &service)
     std::uint64_t perms = req.args[1] & conn->second;
     if (perms == 0)
         return reject(PrimStatus::PermissionDenied);
-    if (enc->attachedShm.size() * shm.pages.size() +
-            shm.pages.size() > enc->config.maxShmPages) {
+    // ESHMDES refuses while a region is attached, so every id is live.
+    std::size_t shm_pages = shm.pages.size();
+    for (const auto &[id, attached_va] : enc->attachedShm)
+        shm_pages += _shms.at(id).pages.size();
+    if (shm_pages > enc->config.maxShmPages)
         return reject(PrimStatus::OutOfMemory);
-    }
 
     Addr va = enc->shmCursor;
     if (!rangeUnmapped(*enc, va, shm.pages.size()))

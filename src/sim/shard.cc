@@ -23,7 +23,6 @@ ShardStats::ShardStats(const ShardStats &other)
 {
     std::lock_guard<std::mutex> lock(other._mutex);
     _scalars = other._scalars;
-    _averages = other._averages;
     _distributions = other._distributions;
 }
 
@@ -31,7 +30,6 @@ ShardStats::ShardStats(ShardStats &&other) noexcept
 {
     std::lock_guard<std::mutex> lock(other._mutex);
     _scalars = std::move(other._scalars);
-    _averages = std::move(other._averages);
     _distributions = std::move(other._distributions);
 }
 
@@ -42,7 +40,6 @@ ShardStats::operator=(const ShardStats &other)
         return *this;
     std::scoped_lock lock(_mutex, other._mutex);
     _scalars = other._scalars;
-    _averages = other._averages;
     _distributions = other._distributions;
     return *this;
 }
@@ -54,7 +51,6 @@ ShardStats::operator=(ShardStats &&other) noexcept
         return *this;
     std::scoped_lock lock(_mutex, other._mutex);
     _scalars = std::move(other._scalars);
-    _averages = std::move(other._averages);
     _distributions = std::move(other._distributions);
     return *this;
 }
@@ -64,13 +60,6 @@ ShardStats::scalar(const std::string &name)
 {
     std::lock_guard<std::mutex> lock(_mutex);
     return _scalars[name];
-}
-
-Average &
-ShardStats::average(const std::string &name)
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    return _averages[name];
 }
 
 Distribution &
@@ -86,14 +75,6 @@ ShardStats::findScalar(const std::string &name) const
     std::lock_guard<std::mutex> lock(_mutex);
     auto it = _scalars.find(name);
     return it == _scalars.end() ? nullptr : &it->second;
-}
-
-const Average *
-ShardStats::findAverage(const std::string &name) const
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    auto it = _averages.find(name);
-    return it == _averages.end() ? nullptr : &it->second;
 }
 
 const Distribution *
@@ -112,30 +93,8 @@ ShardStats::merge(const ShardStats &other)
     std::scoped_lock lock(_mutex, other._mutex);
     for (const auto &[name, s] : other._scalars)
         _scalars[name].merge(s);
-    for (const auto &[name, a] : other._averages)
-        _averages[name].merge(a);
     for (const auto &[name, d] : other._distributions)
         _distributions[name].merge(d);
-}
-
-void
-ShardStats::registerWith(StatGroup &group) const
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    for (const auto &[name, s] : _scalars)
-        group.registerScalar(name, &s);
-    for (const auto &[name, a] : _averages)
-        group.registerAverage(name, &a);
-    for (const auto &[name, d] : _distributions)
-        group.registerDistribution(name, &d);
-}
-
-bool
-ShardStats::empty() const
-{
-    std::lock_guard<std::mutex> lock(_mutex);
-    return _scalars.empty() && _averages.empty() &&
-           _distributions.empty();
 }
 
 } // namespace hypertee

@@ -15,8 +15,8 @@
  * ShardStats is the result side: a shard accumulates named stats it
  * owns by value; the driver merges shard results in shard-index
  * order, which reproduces the exact stat stream of a sequential run
- * (Scalar sums, Average sum/count pairs, Distribution sample
- * concatenation).
+ * (Scalar sums, Distribution sample concatenation). The merged
+ * ShardStats is also what --stats-json exports.
  */
 
 #ifndef HYPERTEE_SIM_SHARD_HH
@@ -32,6 +32,8 @@
 
 namespace hypertee
 {
+
+class JsonWriter;
 
 /**
  * Derive the RNG seed of shard @p shard_index from @p global_seed.
@@ -57,12 +59,13 @@ struct ShardContext
 };
 
 /**
- * Mergeable, owning stat container for shard results.
+ * Mergeable, owning stat container: the only one in the simulator.
  *
- * Unlike StatGroup (which only holds pointers to component-owned
- * stats), ShardStats owns its Scalars/Averages/Distributions so a
- * shard's results survive the shard body and can be merged across
- * shards. Accessors create-on-first-use; merge() combines by name.
+ * ShardStats owns its Scalars and Distributions, so a shard's results
+ * survive the shard body, merge across shards, and export as one
+ * --stats-json group. Components sample through the references the
+ * accessors return. Accessors create-on-first-use; merge() combines
+ * by name.
  */
 class ShardStats
 {
@@ -76,17 +79,15 @@ class ShardStats
     ShardStats &operator=(ShardStats &&other) noexcept;
 
     Scalar &scalar(const std::string &name);
-    Average &average(const std::string &name);
     Distribution &distribution(const std::string &name);
 
     /** Lookup without creating; nullptr when absent. */
     const Scalar *findScalar(const std::string &name) const;
-    const Average *findAverage(const std::string &name) const;
     const Distribution *findDistribution(const std::string &name) const;
 
     /**
      * Fold @p other into this container. Stats present on both sides
-     * merge element-wise (sum / sum+count / sample concatenation);
+     * merge element-wise (sum / sample concatenation);
      * stats present only in @p other are copied. Merging shard
      * results in shard-index order is the determinism contract: the
      * outcome is independent of which worker ran which shard.
@@ -94,13 +95,13 @@ class ShardStats
     void merge(const ShardStats &other);
 
     /**
-     * Register every owned stat with @p group for export. The
-     * container must outlive @p group's dumps (registration is by
-     * pointer).
+     * Emit this container as the JSON object of group @p name:
+     * "name", then "scalars" and "distributions", each keyed by stat
+     * name in sorted order; distributions carry count and, when
+     * non-empty, min/mean/p50/p90/p99/p999/max. Implemented in
+     * stats_export.cc beside JsonWriter.
      */
-    void registerWith(StatGroup &group) const;
-
-    bool empty() const;
+    void writeJson(JsonWriter &w, const std::string &name) const;
 
   private:
     /**
@@ -112,7 +113,6 @@ class ShardStats
      */
     mutable std::mutex _mutex;
     std::map<std::string, Scalar> _scalars; // htlint: guarded-by(_mutex)
-    std::map<std::string, Average> _averages; // htlint: guarded-by(_mutex)
     // htlint: guarded-by(_mutex)
     std::map<std::string, Distribution> _distributions;
 };

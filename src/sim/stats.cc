@@ -1,7 +1,6 @@
 #include "sim/stats.hh"
 
 #include <cmath>
-#include <iomanip>
 
 namespace hypertee
 {
@@ -87,46 +86,6 @@ Distribution::fractionAtOrBelow(double threshold) const
     auto it = std::upper_bound(_scratch.begin(), _scratch.end(), threshold);
     return static_cast<double>(it - _scratch.begin()) /
            static_cast<double>(_scratch.size());
-}
-
-void
-StatGroup::registerScalar(const std::string &name, const Scalar *s)
-{
-    _scalars[name] = s;
-}
-
-void
-StatGroup::registerAverage(const std::string &name, const Average *a)
-{
-    _averages[name] = a;
-}
-
-void
-StatGroup::registerDistribution(const std::string &name,
-                                const Distribution *d)
-{
-    _distributions[name] = d;
-}
-
-void
-StatGroup::dump(std::ostream &os) const
-{
-    os << std::setprecision(6);
-    for (const auto &[stat_name, s] : _scalars)
-        os << _name << '.' << stat_name << ' ' << s->value() << '\n';
-    for (const auto &[stat_name, a] : _averages) {
-        os << _name << '.' << stat_name << "::mean " << a->mean() << '\n';
-        os << _name << '.' << stat_name << "::count " << a->count() << '\n';
-    }
-    for (const auto &[stat_name, d] : _distributions) {
-        os << _name << '.' << stat_name << "::count " << d->count() << '\n';
-        if (d->count() > 0) {
-            os << _name << '.' << stat_name << "::mean " << d->mean()
-               << '\n';
-            os << _name << '.' << stat_name << "::p99 " << d->quantile(0.99)
-               << '\n';
-        }
-    }
 }
 
 } // namespace hypertee

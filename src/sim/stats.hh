@@ -2,10 +2,10 @@
  * @file
  * Lightweight statistics package.
  *
- * Components register named statistics with a StatGroup; the group can
- * render a gem5-style "name value" dump. Three kinds are provided:
- * Scalar counters, Averages, and bucketed Distributions (used for the
- * Figure 6 SLO latency curves).
+ * Two kinds are provided: Scalar counters and sample-retaining
+ * Distributions (used for the Table IV primitive latencies and the
+ * Figure 6 SLO latency curves). Stats live by name in a ShardStats
+ * (sim/shard.hh), the one container --stats-json exports.
  */
 
 #ifndef HYPERTEE_SIM_STATS_HH
@@ -13,17 +13,12 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
-#include <ostream>
-#include <string>
 #include <vector>
 
 #include "sim/logging.hh"
 
 namespace hypertee
 {
-
-class JsonWriter;
 
 /** A monotonically growing counter. */
 class Scalar
@@ -39,41 +34,6 @@ class Scalar
 
   private:
     double _value = 0;
-};
-
-/** Running mean of observed samples. */
-class Average
-{
-  public:
-    void
-    sample(double v)
-    {
-        _sum += v;
-        ++_count;
-    }
-
-    double
-    mean() const
-    {
-        return _count ? _sum / static_cast<double>(_count) : 0.0;
-    }
-    std::uint64_t count() const { return _count; }
-    double sum() const { return _sum; }
-
-    /**
-     * Shard merge: the combined mean weights every sample equally, as
-     * if all shards had sampled into one Average.
-     */
-    void
-    merge(const Average &other)
-    {
-        _sum += other._sum;
-        _count += other._count;
-    }
-
-  private:
-    double _sum = 0;
-    std::uint64_t _count = 0;
 };
 
 /**
@@ -154,42 +114,6 @@ class Distribution
      */
     mutable std::vector<double> _scratch;
     mutable bool _scratchValid = false;
-};
-
-/**
- * Named collection of statistics. Components hold their stats by
- * value and register pointers here; the group only formats output.
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name) : _name(std::move(name)) {}
-
-    void registerScalar(const std::string &name, const Scalar *s);
-    void registerAverage(const std::string &name, const Average *a);
-    void registerDistribution(const std::string &name,
-                              const Distribution *d);
-
-    /** Render "group.stat value" lines. */
-    void dump(std::ostream &os) const;
-
-    /**
-     * Structured export (implemented in stats_export.cc): one JSON
-     * object with "scalars", "averages" and "distributions" members;
-     * distributions carry count/min/mean/p50/p90/p99/max.
-     */
-    void dumpJson(std::ostream &os) const;
-
-    /** Emit the group's object into an already-open writer. */
-    void writeJsonBody(JsonWriter &w) const;
-
-    const std::string &name() const { return _name; }
-
-  private:
-    std::string _name;
-    std::map<std::string, const Scalar *> _scalars;
-    std::map<std::string, const Average *> _averages;
-    std::map<std::string, const Distribution *> _distributions;
 };
 
 } // namespace hypertee

@@ -4,7 +4,7 @@
 #include <cstdio>
 
 #include "sim/json.hh"
-#include "sim/stats.hh"
+#include "sim/shard.hh"
 
 namespace hypertee
 {
@@ -136,38 +136,19 @@ JsonWriter::value(bool v)
     _os << (v ? "true" : "false");
 }
 
-// --------------------------------------------------- StatGroup::dumpJson
+// --------------------------------------------------------- stats export
 
 void
-StatGroup::dumpJson(std::ostream &os) const
+ShardStats::writeJson(JsonWriter &w, const std::string &name) const
 {
-    JsonWriter w(os);
-    writeJsonBody(w);
-    os << '\n';
-}
-
-void
-StatGroup::writeJsonBody(JsonWriter &w) const
-{
+    std::lock_guard<std::mutex> lock(_mutex);
     w.beginObject();
-    w.member("name", _name);
+    w.member("name", name);
 
     w.key("scalars");
     w.beginObject();
     for (const auto &[stat_name, s] : _scalars)
-        w.member(stat_name, s->value());
-    w.endObject();
-
-    w.key("averages");
-    w.beginObject();
-    for (const auto &[stat_name, a] : _averages) {
-        w.key(stat_name);
-        w.beginObject();
-        w.member("count", a->count());
-        w.member("sum", a->sum());
-        w.member("mean", a->mean());
-        w.endObject();
-    }
+        w.member(stat_name, s.value());
     w.endObject();
 
     w.key("distributions");
@@ -175,15 +156,15 @@ StatGroup::writeJsonBody(JsonWriter &w) const
     for (const auto &[stat_name, d] : _distributions) {
         w.key(stat_name);
         w.beginObject();
-        w.member("count", d->count());
-        if (d->count() > 0) {
-            w.member("min", d->min());
-            w.member("mean", d->mean());
-            w.member("p50", d->quantile(0.50));
-            w.member("p90", d->quantile(0.90));
-            w.member("p99", d->quantile(0.99));
-            w.member("p999", d->quantile(0.999));
-            w.member("max", d->max());
+        w.member("count", d.count());
+        if (d.count() > 0) {
+            w.member("min", d.min());
+            w.member("mean", d.mean());
+            w.member("p50", d.quantile(0.50));
+            w.member("p90", d.quantile(0.90));
+            w.member("p99", d.quantile(0.99));
+            w.member("p999", d.quantile(0.999));
+            w.member("max", d.max());
         }
         w.endObject();
     }
@@ -193,16 +174,13 @@ StatGroup::writeJsonBody(JsonWriter &w) const
 }
 
 void
-dumpStatsJson(std::ostream &os,
-              const std::vector<const StatGroup *> &groups)
+dumpStatsJson(std::ostream &os, const std::vector<NamedStats> &groups)
 {
     JsonWriter w(os);
     w.beginObject();
-    for (const StatGroup *g : groups) {
-        if (!g)
-            continue;
-        w.key(g->name());
-        g->writeJsonBody(w);
+    for (const NamedStats &g : groups) {
+        w.key(g.name);
+        g.stats->writeJson(w, g.name);
     }
     w.endObject();
     os << '\n';

@@ -2,11 +2,13 @@
  * @file
  * Structured (JSON) export for the statistics package.
  *
- * StatGroup::dumpJson lives here (stats.hh only declares it) together
- * with the small machinery it needs: a streaming JsonWriter that
- * handles escaping and comma placement (the repo's one JSON writer),
- * and jsonLooksValid(), used by tests and by the bench harness to
- * verify that emitted files actually parse before reporting success.
+ * dumpStatsJson renders named ShardStats (sim/shard.hh) as the
+ * --stats-json document. It lives here (ShardStats::writeJson too,
+ * shard.hh only declares it) together with the small machinery it
+ * needs: a streaming JsonWriter that handles escaping and comma
+ * placement (the repo's one JSON writer), and jsonLooksValid(), used
+ * by tests and by the bench harness to verify that emitted files
+ * actually parse before reporting success.
  */
 
 #ifndef HYPERTEE_SIM_STATS_EXPORT_HH
@@ -21,7 +23,7 @@
 namespace hypertee
 {
 
-class StatGroup;
+class ShardStats;
 
 /**
  * Minimal streaming JSON writer. Tracks nesting so members are
@@ -65,9 +67,19 @@ class JsonWriter
     bool _pendingKey = false;
 };
 
-/** Render several groups as one JSON object keyed by group name. */
+/** One --stats-json group: its name and the stats it exports. */
+struct NamedStats
+{
+    std::string name;
+    const ShardStats *stats;
+};
+
+/**
+ * Render @p groups as one JSON object keyed by group name, in the
+ * order given; each value is ShardStats::writeJson's object.
+ */
 void dumpStatsJson(std::ostream &os,
-                   const std::vector<const StatGroup *> &groups);
+                   const std::vector<NamedStats> &groups);
 
 /**
  * Strict syntax check over a complete JSON document: true exactly

@@ -70,10 +70,11 @@ struct ShmFixture : ::testing::Test
     }
 
     EnclaveId
-    makeEnclave(std::uint8_t fill)
+    makeEnclave(std::uint8_t fill, std::uint64_t max_shm_pages = 64)
     {
-        PrimitiveResponse r = invoke(PrimitiveOp::ECreate,
-                                     PrivMode::Supervisor, {4, 8, 64});
+        PrimitiveResponse r =
+            invoke(PrimitiveOp::ECreate, PrivMode::Supervisor,
+                   {4, 8, max_shm_pages});
         EXPECT_EQ(r.status, PrimStatus::Ok);
         EnclaveId id = static_cast<EnclaveId>(r.results.at(0));
         invoke(PrimitiveOp::EAdd, PrivMode::Supervisor,
@@ -85,11 +86,12 @@ struct ShmFixture : ::testing::Test
 
     ShmId
     createShm(std::size_t pages = 4,
-              std::uint64_t perms = PteRead | PteWrite)
+              std::uint64_t perms = PteRead | PteWrite,
+              EnclaveId creator = 0)
     {
         PrimitiveResponse r = invoke(PrimitiveOp::EShmGet,
                                      PrivMode::User, {pages, perms},
-                                     sender);
+                                     creator ? creator : sender);
         EXPECT_EQ(r.status, PrimStatus::Ok);
         return static_cast<ShmId>(r.results.at(0));
     }
@@ -330,6 +332,39 @@ TEST_F(ShmFixture, DoubleAttachRejected)
                      sender)
                   .status,
               PrimStatus::AlreadyExists);
+}
+
+TEST_F(ShmFixture, AttachBudgetCountsEveryAttachedPage)
+{
+    // ESHMAT charges the pages of every region already attached, not
+    // the new region's size once per attachment, so the outcome does
+    // not depend on the order in which regions are attached.
+    EnclaveId owner = makeEnclave(0x93, 256);
+    const std::uint64_t rw = PteRead | PteWrite;
+    ShmId big = createShm(250, rw, owner);
+    ShmId small_a = createShm(5, rw, owner);
+    ShmId small_b = createShm(5, rw, owner);
+    auto attach = [&](ShmId id) {
+        return invoke(PrimitiveOp::EShmAt, PrivMode::User, {id, rw},
+                      owner)
+            .status;
+    };
+    auto detach = [&](ShmId id) {
+        return invoke(PrimitiveOp::EShmDt, PrivMode::User, {id}, owner)
+            .status;
+    };
+
+    // 250 + 5 + 5 = 260 pages overruns the 256-page budget.
+    EXPECT_EQ(attach(big), PrimStatus::Ok);
+    EXPECT_EQ(attach(small_a), PrimStatus::Ok);
+    EXPECT_EQ(attach(small_b), PrimStatus::OutOfMemory);
+    EXPECT_EQ(rt->enclave(owner)->attachedShm.size(), 2u);
+
+    // 5 + 250 = 255 pages fits.
+    ASSERT_EQ(detach(big), PrimStatus::Ok);
+    ASSERT_EQ(detach(small_a), PrimStatus::Ok);
+    EXPECT_EQ(attach(small_a), PrimStatus::Ok);
+    EXPECT_EQ(attach(big), PrimStatus::Ok);
 }
 
 } // namespace

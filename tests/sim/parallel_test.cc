@@ -165,21 +165,17 @@ TEST(ShardStats, MergeCombinesByName)
 {
     ShardStats a;
     a.scalar("hits").set(3);
-    a.average("lat").sample(10);
     a.distribution("d").sample(1);
     a.distribution("d").sample(2);
 
     ShardStats b;
     b.scalar("hits").set(4);
     b.scalar("only_b").set(7);
-    b.average("lat").sample(20);
     b.distribution("d").sample(3);
 
     a.merge(b);
     EXPECT_DOUBLE_EQ(a.scalar("hits").value(), 7.0);
     EXPECT_DOUBLE_EQ(a.scalar("only_b").value(), 7.0);
-    EXPECT_EQ(a.average("lat").count(), 2u);
-    EXPECT_DOUBLE_EQ(a.average("lat").mean(), 15.0);
     // Samples concatenate in shard order: a's before b's.
     const std::vector<double> expect = {1, 2, 3};
     EXPECT_EQ(a.distribution("d").samples(), expect);
@@ -196,21 +192,15 @@ TEST(ShardStats, ShardedMergeExportMatchesSequential)
         for (int i = 0; i < 40; ++i) {
             double v = double(shard * 40 + i);
             sequential.scalar("total") += v;
-            sequential.average("avg").sample(v);
             sequential.distribution("dist").sample(v);
             part.scalar("total") += v;
-            part.average("avg").sample(v);
             part.distribution("dist").sample(v);
         }
         merged.merge(part);
     }
-    StatGroup seq_group("stats");
-    StatGroup par_group("stats");
-    sequential.registerWith(seq_group);
-    merged.registerWith(par_group);
     std::ostringstream seq_json, par_json;
-    dumpStatsJson(seq_json, {&seq_group});
-    dumpStatsJson(par_json, {&par_group});
+    dumpStatsJson(seq_json, {{"stats", &sequential}});
+    dumpStatsJson(par_json, {{"stats", &merged}});
     EXPECT_EQ(seq_json.str(), par_json.str());
 }
 
@@ -243,10 +233,8 @@ statsJsonWithMidRunQuantiles(unsigned jobs)
     ShardStats merged;
     for (const ShardStats &p : parts)
         merged.merge(p);
-    StatGroup group("stats");
-    merged.registerWith(group);
     std::ostringstream json;
-    dumpStatsJson(json, {&group});
+    dumpStatsJson(json, {{"stats", &merged}});
     return json.str();
 }
 

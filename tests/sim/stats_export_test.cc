@@ -4,7 +4,7 @@
 
 #include <sstream>
 
-#include "sim/stats.hh"
+#include "sim/shard.hh"
 #include "sim/stats_export.hh"
 
 namespace hypertee
@@ -30,31 +30,30 @@ TEST(JsonChecker, RejectsMalformedJson)
     EXPECT_FALSE(jsonLooksValid("nul"));
 }
 
-TEST(StatGroupJson, RoundTripsThroughValidator)
+/** One group's --stats-json document. */
+std::string
+groupJson(const std::string &name, const ShardStats &stats)
 {
-    StatGroup g("ems");
-    Scalar issued;
-    issued.set(42);
-    Average depth;
-    depth.sample(1);
-    depth.sample(3);
-    Distribution lat;
+    std::ostringstream os;
+    dumpStatsJson(os, {{name, &stats}});
+    return os.str();
+}
+
+TEST(ShardStatsJson, RoundTripsThroughValidator)
+{
+    ShardStats g;
+    g.scalar("issued").set(42);
+    Distribution &lat = g.distribution("latency");
     for (int i = 1; i <= 100; ++i)
         lat.sample(i * 1000.0);
-    g.registerScalar("issued", &issued);
-    g.registerAverage("queue_depth", &depth);
-    g.registerDistribution("latency", &lat);
 
-    std::ostringstream os;
-    g.dumpJson(os);
-    std::string json = os.str();
+    std::string json = groupJson("ems", g);
     ASSERT_TRUE(jsonLooksValid(json)) << json;
 
     EXPECT_NE(json.find("\"name\""), std::string::npos);
     EXPECT_NE(json.find("\"ems\""), std::string::npos);
     EXPECT_NE(json.find("\"issued\""), std::string::npos);
     EXPECT_NE(json.find("42"), std::string::npos);
-    EXPECT_NE(json.find("\"queue_depth\""), std::string::npos);
     EXPECT_NE(json.find("\"mean\""), std::string::npos);
     // Distribution quantiles: p50 = 50000, p90 = 90000, p99 = 99000.
     EXPECT_NE(json.find("\"p50\""), std::string::npos);
@@ -70,15 +69,12 @@ TEST(StatGroupJson, RoundTripsThroughValidator)
     EXPECT_NE(json.find("\"max\""), std::string::npos);
 }
 
-TEST(StatGroupJson, EmptyDistributionOmitsQuantiles)
+TEST(ShardStatsJson, EmptyDistributionOmitsQuantiles)
 {
-    StatGroup g("idle");
-    Distribution d;
-    g.registerDistribution("unused", &d);
+    ShardStats g;
+    g.distribution("unused");
 
-    std::ostringstream os;
-    g.dumpJson(os);
-    std::string json = os.str();
+    std::string json = groupJson("idle", g);
     ASSERT_TRUE(jsonLooksValid(json)) << json;
     EXPECT_NE(json.find("\"count\""), std::string::npos);
     EXPECT_EQ(json.find("\"p50\""), std::string::npos);
@@ -86,31 +82,48 @@ TEST(StatGroupJson, EmptyDistributionOmitsQuantiles)
     EXPECT_EQ(json.find("\"p999\""), std::string::npos);
 }
 
-TEST(StatGroupJson, EmptyGroupIsStillValid)
+TEST(ShardStatsJson, EmptyGroupIsStillValid)
 {
-    StatGroup g("empty");
-    std::ostringstream os;
-    g.dumpJson(os);
-    EXPECT_TRUE(jsonLooksValid(os.str())) << os.str();
+    std::string json = groupJson("empty", ShardStats{});
+    EXPECT_TRUE(jsonLooksValid(json)) << json;
 }
 
 TEST(DumpStatsJson, MultipleGroupsKeyedByName)
 {
-    StatGroup a("alpha"), b("beta");
-    Scalar s1, s2;
-    s1.set(1);
-    s2.set(2);
-    a.registerScalar("x", &s1);
-    b.registerScalar("y", &s2);
+    ShardStats a, b;
+    a.scalar("x").set(1);
+    b.scalar("y").set(2);
 
     std::ostringstream os;
-    dumpStatsJson(os, {&a, &b});
+    dumpStatsJson(os, {{"alpha", &a}, {"beta", &b}});
     std::string json = os.str();
     ASSERT_TRUE(jsonLooksValid(json)) << json;
     EXPECT_NE(json.find("\"alpha\""), std::string::npos);
     EXPECT_NE(json.find("\"beta\""), std::string::npos);
     EXPECT_NE(json.find("\"x\""), std::string::npos);
     EXPECT_NE(json.find("\"y\""), std::string::npos);
+}
+
+TEST(DumpStatsJson, ExactBytes)
+{
+    // Pins the export byte for byte: member order, sorted stat names,
+    // integral doubles as integers, %.17g otherwise, and an empty
+    // distribution carrying only its count.
+    ShardStats g;
+    g.scalar("ops").set(3);
+    g.scalar("share").set(1.0 / 3.0);
+    Distribution &lat = g.distribution("lat");
+    for (int i = 1; i <= 100; ++i)
+        lat.sample(i * 0.1);
+    g.distribution("idle");
+
+    EXPECT_EQ(groupJson("pinned", g),
+              "{\"pinned\":{\"name\":\"pinned\","
+              "\"scalars\":{\"ops\":3,\"share\":0.33333333333333331},"
+              "\"distributions\":{\"idle\":{\"count\":0},"
+              "\"lat\":{\"count\":100,\"min\":0.10000000000000001,"
+              "\"mean\":5.0499999999999998,\"p50\":5,\"p90\":9,"
+              "\"p99\":9.9000000000000004,\"p999\":10,\"max\":10}}}}\n");
 }
 
 } // namespace

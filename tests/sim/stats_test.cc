@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <sstream>
 #include <vector>
 
 #include "sim/stats.hh"
@@ -23,18 +22,6 @@ TEST(Scalar, AccumulatesAndSets)
     EXPECT_DOUBLE_EQ(s.value(), 3.5);
     s.set(10);
     EXPECT_DOUBLE_EQ(s.value(), 10.0);
-}
-
-TEST(Average, ComputesRunningMean)
-{
-    Average a;
-    EXPECT_EQ(a.mean(), 0.0);
-    a.sample(10);
-    a.sample(20);
-    a.sample(30);
-    EXPECT_DOUBLE_EQ(a.mean(), 20.0);
-    EXPECT_EQ(a.count(), 3u);
-    EXPECT_DOUBLE_EQ(a.sum(), 60.0);
 }
 
 TEST(Distribution, TracksExtremaAndMean)
@@ -252,24 +239,6 @@ TEST(Distribution, ClearResetsRunningState)
     d.sample(4);
     EXPECT_DOUBLE_EQ(d.mean(), 4.0);
     EXPECT_DOUBLE_EQ(d.quantile(0.5), 4.0);
-}
-
-TEST(StatGroup, DumpsRegisteredStats)
-{
-    StatGroup g("core0");
-    Scalar s;
-    s.set(5);
-    Average a;
-    a.sample(2);
-    g.registerScalar("instructions", &s);
-    g.registerAverage("latency", &a);
-
-    std::ostringstream os;
-    g.dump(os);
-    std::string out = os.str();
-    EXPECT_NE(out.find("core0.instructions 5"), std::string::npos);
-    EXPECT_NE(out.find("core0.latency::mean 2"), std::string::npos);
-    EXPECT_NE(out.find("core0.latency::count 1"), std::string::npos);
 }
 
 } // namespace

@@ -1,14 +1,32 @@
-#include "stat_registration_good.hh"
+// Fixture: a component that samples into references handed out by a
+// ShardStats, so every stat it touches reaches the export.
+#include "sim/shard.hh"
 
 namespace hypertee
 {
 
-void
-Component::regStats(StatGroup &g)
+class Component
 {
-    g.registerScalar("hits", &_hits);
-    g.registerScalar("misses", &_misses);
-    g.registerDistribution("latency", &_latency);
-}
+  public:
+    explicit Component(ShardStats &stats)
+        : _hits(stats.scalar("hits")), _misses(stats.scalar("misses")),
+          _latency(stats.distribution("latency"))
+    {}
+
+    void
+    access(bool hit, double ticks)
+    {
+        if (hit)
+            ++_hits;
+        else
+            ++_misses;
+        _latency.sample(ticks);
+    }
+
+  private:
+    Scalar &_hits;
+    Scalar &_misses;
+    Distribution &_latency;
+};
 
 } // namespace hypertee

@@ -484,13 +484,10 @@ TEST(HtlintStatRegistration, FlagsUnregisteredStat)
     EXPECT_NE(diags[0].message.find("'lat'"), std::string::npos);
 }
 
-TEST(HtlintStatRegistration, SeesRegistrationInPairedFile)
+TEST(HtlintStatRegistration, AcceptsReferencesIntoShardStats)
 {
-    auto diags = lintAs(
-        {{"stat_registration_good.hh",
-          "src/comp/stat_registration_good.hh"},
-         {"stat_registration_good.cc",
-          "src/comp/stat_registration_good.cc"}});
+    auto diags = lintAs({{"stat_registration_good.cc",
+                          "src/comp/stat_registration_good.cc"}});
     EXPECT_EQ(countRule(diags, "stat-registration"), 0);
 }
 
@@ -823,6 +820,16 @@ TEST(HtlintSecretFlow, AcceptsSizeSamples)
     EXPECT_TRUE(secretFlows(lintAs({{"secret_flow_stats_good.cc",
                                      "src/ems/stats_good.cc"}}))
                     .empty());
+}
+
+TEST(HtlintSecretFlow, FlagsKeyDerivedStatName)
+{
+    // ShardStats exports a stat's name verbatim as a JSON key.
+    auto flows = secretFlows(lintAs(
+        {{"secret_flow_stats_name_bad.cc", "src/ems/stats_name_bad.cc"}}));
+    ASSERT_EQ(flows.size(), 1u);
+    EXPECT_NE(flows[0].message.find("stats-export"),
+              std::string::npos);
 }
 
 TEST(HtlintSecretFlow, FlagsRawKeyInMailboxPayload)

@@ -557,48 +557,22 @@ checkSeedFlow(const Project &proj, std::vector<Diagnostic> &out)
 bool
 isStatType(const std::string &s)
 {
-    return s == "Scalar" || s == "Average" || s == "Distribution";
+    return s == "Scalar" || s == "Distribution";
 }
 
-/** Identifiers appearing inside registerScalar/... call arguments. */
-std::set<std::string>
-registeredStatNames(const SourceFile &f)
-{
-    std::set<std::string> names;
-    const auto &toks = f.tokens();
-    for (std::size_t i = 0; i + 1 < toks.size(); ++i) {
-        const Token &t = toks[i];
-        if (t.kind != TokKind::Identifier ||
-            (t.text != "registerScalar" &&
-             t.text != "registerAverage" &&
-             t.text != "registerDistribution"))
-            continue;
-        if (toks[i + 1].text != "(")
-            continue;
-        int depth = toks[i + 1].parenDepth;
-        for (std::size_t j = i + 2; j < toks.size(); ++j) {
-            if (toks[j].text == ")" && toks[j].parenDepth == depth)
-                break;
-            if (toks[j].kind == TokKind::Identifier)
-                names.insert(toks[j].text);
-        }
-    }
-    return names;
-}
-
+/**
+ * ShardStats is the only container --stats-json exports, so a stat
+ * reaches the export only through the references its accessors hand
+ * out. A Scalar/Distribution declared by value in src/ or bench/
+ * lives outside it and would be silently missing from the export.
+ */
 void
-checkStatRegistration(const SourceFile &f, const Project &proj,
+checkStatRegistration(const SourceFile &f, const Project &,
                       std::vector<Diagnostic> &out)
 {
     if (!inSrcOrBench(f))
         return; // test-local stats need no export wiring
     const auto &toks = f.tokens();
-    std::set<std::string> registered = registeredStatNames(f);
-    if (const SourceFile *pair = proj.pairOf(f)) {
-        std::set<std::string> pr = registeredStatNames(*pair);
-        registered.insert(pr.begin(), pr.end());
-    }
-
     for (std::size_t i = 0; i < toks.size(); ++i) {
         const Token &t = toks[i];
         if (t.inDirective || t.kind != TokKind::Identifier ||
@@ -615,16 +589,16 @@ checkStatRegistration(const SourceFile &f, const Project &proj,
         // Walk the declarator list: name (, name)* up to ';'.
         while (j < toks.size() &&
                toks[j].kind == TokKind::Identifier) {
-            const std::string &name = toks[j].text;
             if (j + 1 < toks.size() && toks[j + 1].text == "(")
                 break; // function returning a stat type
-            if (!registered.count(name))
-                report(out, f, toks[j].line, "stat-registration",
-                       t.text + " '" + name +
-                           "' is never registered with a StatGroup "
-                           "(register" + t.text +
-                           ") -- it would be silently missing from "
-                           "the stats export");
+            report(out, f, toks[j].line, "stat-registration",
+                   t.text + " '" + toks[j].text +
+                       "' is held by value outside ShardStats -- it "
+                       "would be silently missing from the stats "
+                       "export; take a reference from "
+                       "ShardStats::" +
+                       (t.text == "Scalar" ? "scalar" : "distribution") +
+                       "()");
             if (j + 1 < toks.size() && toks[j + 1].text == "," &&
                 j + 2 < toks.size() &&
                 toks[j + 2].kind == TokKind::Identifier) {
@@ -1023,8 +997,8 @@ allRules()
          "CS-memory sink unencrypted (whole-program)",
          nullptr, &checkSecretFlow},
         {"stat-registration",
-         "every Scalar/Average/Distribution must be registered with "
-         "a StatGroup so the JSON export sees it",
+         "every Scalar/Distribution must live in a ShardStats, the "
+         "one container the JSON export reads",
          &checkStatRegistration},
         {"no-wallclock",
          "no std::chrono / time() / rand() / std::random_device in "

@@ -119,11 +119,12 @@ sinkKind(const std::string &callee)
         {"puts", "log"},
         {"fputs", "log"},
         // Stats export: dumped to --stats-json.
-        {"registerScalar", "stats-export"},
-        {"registerAverage", "stats-export"},
-        {"registerDistribution", "stats-export"},
+        // ShardStats::scalar/distribution export their name argument
+        // verbatim as a JSON key.
+        {"scalar", "stats-export"},
+        {"distribution", "stats-export"},
         {"sample", "stats-export"},
-        {"dumpJson", "stats-export"},
+        {"dumpStatsJson", "stats-export"},
         // Untrusted-side mailbox / EmCall payload buffers.
         {"pushRequest", "mailbox"},
         {"pushResponse", "mailbox"},
