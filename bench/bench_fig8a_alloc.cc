@@ -14,7 +14,7 @@
  */
 
 #include "bench/bench_util.hh"
-#include "workload/runner.hh"
+#include "bench/fig8a_alloc.hh"
 
 using namespace hypertee;
 
@@ -24,21 +24,6 @@ namespace
 BenchShardResult
 runSize(Addr kb, int reps)
 {
-    SystemParams params = evalSystem(true);
-    params.ems.pool.initialPages = 80000; // keep refills rare
-    params.ems.pool.refillBatch = 16384;
-    params.csMemSize = 1024ULL * 1024 * 1024;
-    HyperTeeSystem sys(params);
-
-    EnclaveConfig cfg;
-    cfg.heapPages = 16;
-    EnclaveHandle enclave(sys, 0, cfg);
-    enclave.setChargeCore(false);
-    enclave.addImage(Bytes(pageSize, 1), EnclaveLayout::codeBase,
-                     PteRead | PteExec);
-    enclave.measure();
-    enclave.enter();
-
     Addr pages = (kb * 1024) >> pageShift;
 
     // Host malloc model: per-page OS fault+zero+map work, measured
@@ -47,14 +32,7 @@ runSize(Addr kb, int reps)
     for (int i = 0; i < reps; ++i)
         host_total += Tick(pages) * hostMallocCyclesPerPage * 400;
 
-    Tick enclave_total = 0;
-    const Addr region = EnclaveLayout::heapBase + (8 << 20);
-    for (int i = 0; i < reps; ++i) {
-        Addr va = enclave.allocAt(region, pages);
-        fatalIf(va == 0, "EALLOC failed");
-        enclave_total += enclave.lastLatency();
-        enclave.free(va, pages);
-    }
+    const Tick enclave_total = runAllocSweep(pages, reps).allocTicks;
 
     BenchShardResult result;
     const std::string size_name = std::to_string(kb) + "KB";
@@ -83,13 +61,12 @@ main(int argc, char **argv)
     benchHeader("Figure 8(a): enclave memory allocation latency",
                 "EALLOC vs host malloc, 128KB-2MB x1000");
 
-    const int reps = opts.smoke ? 100 : 1000;
-    const std::vector<Addr> sizes_kb = {128, 256, 512, 1024, 2048};
+    const int reps = opts.smoke ? fig8aSmokeReps : fig8aReps;
 
     printRow({"size", "malloc(us)", "ealloc(us)", "overhead"});
     ShardStats merged = runShardedBench(
-        opts, sizes_kb.size(), 14, [&](ShardContext &ctx) {
-            return runSize(sizes_kb[ctx.index], reps);
+        opts, fig8aSizesKb.size(), 14, [&](ShardContext &ctx) {
+            return runSize(fig8aSizesKb[ctx.index], reps);
         });
 
     std::printf("\npaper: 6.3%% (2MB) .. 49.7%% (128KB) overhead; "

@@ -1,5 +1,7 @@
 #include "ems/runtime.hh"
 
+#include <algorithm>
+
 #include "crypto/aes128.hh"
 #include "crypto/sha256.hh"
 #include "crypto/x25519.hh"
@@ -8,6 +10,25 @@
 
 namespace hypertee
 {
+
+namespace
+{
+
+/**
+ * Drop @p ppns from @p pages in one pass, keeping the other pages'
+ * order (EDESTROY returns pages to the pool in that order).
+ */
+void
+forgetPages(std::vector<Addr> &pages, const std::vector<Addr> &ppns)
+{
+    std::vector<Addr> gone(ppns);
+    std::sort(gone.begin(), gone.end());
+    std::erase_if(pages, [&](Addr ppn) {
+        return std::binary_search(gone.begin(), gone.end(), ppn);
+    });
+}
+
+} // namespace
 
 EmsRuntime::EmsRuntime(EmsPort *port, PhysicalMemory *cs_mem,
                        const KeyManager &km,
@@ -210,24 +231,16 @@ EmsRuntime::grantPages(std::size_t n, EnclaveId owner, PageKind kind,
     return ppns;
 }
 
-bool
-EmsRuntime::rangeUnmapped(const EnclaveControl &enc, Addr va,
-                          std::size_t n) const
-{
-    for (std::size_t i = 0; i < n; ++i) {
-        if (enc.pageTable->walk(va + i * pageSize).valid)
-            return false;
-    }
-    return true;
-}
-
 void
-EmsRuntime::mapEnclavePage(EnclaveControl &enc, Addr va, Addr ppn,
-                           std::uint64_t perms, Tick &service)
+EmsRuntime::mapEnclaveRun(EnclaveControl &enc, Addr va,
+                          std::span<const Addr> ppns,
+                          std::uint64_t perms, Tick &service)
 {
-    enc.pageTable->map(va, ppn << pageShift, perms | PteUser, enc.keyId);
-    enc.pages.push_back(ppn);
-    service += _cost.perPageMapTime(1);
+    enc.pageTable->mapRun(va, ppns, perms | PteUser, enc.keyId);
+    enc.pages.insert(enc.pages.end(), ppns.begin(), ppns.end());
+    // Charged per page: instTime truncates, so perPageMapTime(n) is
+    // not n * perPageMapTime(1).
+    service += ppns.size() * _cost.perPageMapTime(1);
 }
 
 void
@@ -398,18 +411,13 @@ EmsRuntime::doCreate(const PrimitiveRequest &req, Tick &service)
         return reject(PrimStatus::OutOfMemory);
     }
 
-    Addr stack_base =
-        EnclaveLayout::stackTop - cfg.stackPages * pageSize;
-    for (std::size_t i = 0; i < cfg.stackPages; ++i) {
-        mapEnclavePage(e, stack_base + i * pageSize, frames[i],
-                       PteRead | PteWrite, service);
-    }
-    for (std::size_t i = 0; i < cfg.heapPages; ++i) {
-        mapEnclavePage(e, e.heapCursor,
-                       frames[cfg.stackPages + i], PteRead | PteWrite,
-                       service);
-        e.heapCursor += pageSize;
-    }
+    const std::span<const Addr> granted(frames);
+    mapEnclaveRun(e, EnclaveLayout::stackTop - cfg.stackPages * pageSize,
+                  granted.first(cfg.stackPages), PteRead | PteWrite,
+                  service);
+    mapEnclaveRun(e, e.heapCursor, granted.subspan(cfg.stackPages),
+                  PteRead | PteWrite, service);
+    e.heapCursor += cfg.heapPages * pageSize;
 
     PrimitiveResponse resp;
     resp.results = {id};
@@ -429,9 +437,9 @@ EmsRuntime::doAdd(const PrimitiveRequest &req, Tick &service)
     Addr va = req.args[1];
     std::uint64_t perms = req.args[2] &
                           (PteRead | PteWrite | PteExec);
-    if (va % pageSize != 0 || perms == 0)
+    if (va % pageSize != 0 || perms == 0 || !PageTable::inVaSpace(va, 1))
         return reject(PrimStatus::InvalidArgument);
-    if (!rangeUnmapped(*enc, va, 1))
+    if (enc->pageTable->anyMapped(va, 1))
         return reject(PrimStatus::AlreadyExists);
 
     std::vector<Addr> got =
@@ -454,7 +462,7 @@ EmsRuntime::doAdd(const PrimitiveRequest &req, Tick &service)
     enc->measureCtx->update(meta, sizeof(meta));
     enc->measuredBytes += pageSize + sizeof(meta);
 
-    mapEnclavePage(*enc, va, got[0], perms, service);
+    mapEnclaveRun(*enc, va, got, perms, service);
 
     PrimitiveResponse resp;
     resp.flags = kFlagFlushTlb;
@@ -550,16 +558,15 @@ EmsRuntime::doAlloc(const PrimitiveRequest &req, Tick &service)
 
     Addr va = req.args.size() == 2 ? pageAlign(req.args[1])
                                    : enc->heapCursor;
-    if (!rangeUnmapped(*enc, va, n))
+    if (!PageTable::inVaSpace(va, n))
+        return reject(PrimStatus::InvalidArgument);
+    if (enc->pageTable->anyMapped(va, n))
         return reject(PrimStatus::AlreadyExists);
     std::vector<Addr> frames =
         grantPages(n, enc->id, PageKind::Private, 0, service);
     if (frames.empty())
         return reject(PrimStatus::OutOfMemory);
-    for (std::size_t i = 0; i < n; ++i) {
-        mapEnclavePage(*enc, va + i * pageSize, frames[i],
-                       PteRead | PteWrite, service);
-    }
+    mapEnclaveRun(*enc, va, frames, PteRead | PteWrite, service);
     if (req.args.size() == 1)
         enc->heapCursor += n * pageSize;
 
@@ -581,29 +588,31 @@ EmsRuntime::doFree(const PrimitiveRequest &req, Tick &service)
         return reject(PrimStatus::NotFound);
     Addr va = pageAlign(req.args[0]);
     std::size_t n = req.args[1];
-    if (n == 0)
+    if (n == 0 || !PageTable::inVaSpace(va, n))
         return reject(PrimStatus::InvalidArgument);
 
     // All or nothing: validate the whole range before unmapping any
     // of it, so a rejected request leaves every page mapped, owned
-    // and still tracked for EDESTROY's scrub.
+    // and still tracked for EDESTROY's scrub. Each mapped private
+    // page of the enclave is in enc->pages once, so a run longer
+    // than that fails within its first pages.size() + 1 pages: only
+    // those are looked up, and they decide the status.
+    std::vector<LeafSlot> slots(std::min(n, enc->pages.size() + 1));
+    enc->pageTable->lookupRun(va, slots);
     std::vector<Addr> freed;
-    for (std::size_t i = 0; i < n; ++i) {
-        WalkResult walk = enc->pageTable->walk(va + i * pageSize);
-        if (!walk.valid)
+    freed.reserve(slots.size());
+    for (const LeafSlot &slot : slots) {
+        if (!slot.valid)
             return reject(PrimStatus::NotFound);
-        Addr ppn = pageNumber(walk.pa);
-        if (!_ownership.ownedBy(ppn, enc->id))
+        const PageOwner *owner = _ownership.lookup(slot.ppn);
+        if (!owner || owner->owner != enc->id ||
+            owner->kind != PageKind::Private)
             return reject(PrimStatus::PermissionDenied);
-        const PageOwner *owner = _ownership.lookup(ppn);
-        if (owner->kind != PageKind::Private)
-            return reject(PrimStatus::PermissionDenied);
-        freed.push_back(ppn);
+        freed.push_back(slot.ppn);
     }
-    for (std::size_t i = 0; i < n; ++i) {
-        enc->pageTable->unmap(va + i * pageSize);
-        std::erase(enc->pages, freed[i]);
-    }
+    panicIf(freed.size() != n, "EFREE validated a short run");
+    enc->pageTable->clearRun(slots);
+    forgetPages(enc->pages, freed);
     scrubAndReturn(freed, service);
 
     PrimitiveResponse resp;
@@ -751,13 +760,9 @@ EmsRuntime::doShmAt(const PrimitiveRequest &req, Tick &service)
         return reject(PrimStatus::OutOfMemory);
 
     Addr va = enc->shmCursor;
-    if (!rangeUnmapped(*enc, va, shm.pages.size()))
+    if (enc->pageTable->anyMapped(va, shm.pages.size()))
         return reject(PrimStatus::AlreadyExists);
-    for (std::size_t i = 0; i < shm.pages.size(); ++i) {
-        enc->pageTable->map(va + i * pageSize,
-                            shm.pages[i] << pageShift,
-                            perms | PteUser, shm.keyId);
-    }
+    enc->pageTable->mapRun(va, shm.pages, perms | PteUser, shm.keyId);
     enc->shmCursor += shm.pages.size() * pageSize;
     enc->attachedShm[shm.id] = va;
     shm.attached.insert(enc->id);
@@ -787,9 +792,9 @@ EmsRuntime::doShmDt(const PrimitiveRequest &req, Tick &service)
     if (att == enc->attachedShm.end())
         return reject(PrimStatus::NotFound);
 
-    Addr va = att->second;
-    for (std::size_t i = 0; i < shm.pages.size(); ++i)
-        enc->pageTable->unmap(va + i * pageSize);
+    std::vector<LeafSlot> slots(shm.pages.size());
+    enc->pageTable->lookupRun(att->second, slots);
+    enc->pageTable->clearRun(slots);
     enc->attachedShm.erase(att);
     shm.attached.erase(enc->id);
     service += _cost.perPageMapTime(shm.pages.size());

@@ -19,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 
 #include "crypto/crypto_engine.hh"
 #include "ems/attestation.hh"
@@ -148,11 +149,10 @@ class EmsRuntime
                                  Tick &service);
     /** The one way back: scrub, unprotect, disown and pool each page. */
     void scrubAndReturn(const std::vector<Addr> &ppns, Tick &service);
-    /** True when no page of [va, va + n pages) is mapped in @p enc. */
-    bool rangeUnmapped(const EnclaveControl &enc, Addr va,
-                       std::size_t n) const;
-    void mapEnclavePage(EnclaveControl &enc, Addr va, Addr ppn,
-                        std::uint64_t perms, Tick &service);
+    /** Map @p ppns at @p va in @p enc and track them as its pages. */
+    void mapEnclaveRun(EnclaveControl &enc, Addr va,
+                       std::span<const Addr> ppns, std::uint64_t perms,
+                       Tick &service);
     /** Scrub and return every page of a live enclave, then forget it. */
     void teardown(EnclaveId id, Tick &service);
 

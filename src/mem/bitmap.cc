@@ -44,9 +44,7 @@ EnclaveBitmap::isEnclavePage(Addr ppn) const
 {
     int bit;
     Addr addr = bitAddr(ppn, bit);
-    std::uint8_t byte;
-    _mem->read(addr, &byte, 1);
-    return (byte >> bit) & 1;
+    return (_mem->read8(addr) >> bit) & 1;
 }
 
 bool
@@ -54,8 +52,7 @@ EnclaveBitmap::setEnclavePage(Addr ppn, bool enclave)
 {
     int bit;
     Addr addr = bitAddr(ppn, bit);
-    std::uint8_t byte;
-    _mem->read(addr, &byte, 1);
+    std::uint8_t byte = _mem->read8(addr);
     bool current = (byte >> bit) & 1;
     if (current == enclave)
         return false;
@@ -66,7 +63,7 @@ EnclaveBitmap::setEnclavePage(Addr ppn, bool enclave)
         byte = static_cast<std::uint8_t>(byte & ~(1 << bit));
         --_enclavePages;
     }
-    _mem->write(addr, &byte, 1);
+    _mem->write8(addr, byte);
     ++_updates;
     HT_TRACE_INSTANT1(TraceCategory::Bitmap,
                       enclave ? "bitmap.set" : "bitmap.clear",

@@ -59,6 +59,13 @@ PageTable::vpn(Addr va, int level)
            ((1ULL << bitsPerLevel) - 1);
 }
 
+std::size_t
+PageTable::pagesInLeafTable(Addr va, std::size_t n)
+{
+    const std::size_t left = (1U << bitsPerLevel) - vpn(va, 0);
+    return n < left ? n : left;
+}
+
 Addr
 PageTable::pteAddrAt(Addr table, Addr va, int level) const
 {
@@ -66,28 +73,115 @@ PageTable::pteAddrAt(Addr table, Addr va, int level) const
 }
 
 void
-PageTable::map(Addr va, Addr pa, std::uint64_t perms, KeyId key_id)
+PageTable::checkRun(Addr va, std::size_t n)
 {
-    panicIf(va % pageSize != 0 || pa % pageSize != 0,
-            "map requires page-aligned addresses");
+    panicIf(!inVaSpace(va, n), "page run outside the Sv39 space at va ",
+            va);
+}
+
+Addr
+PageTable::leafTable(Addr va, bool create)
+{
     Addr table = _root;
     for (int level = levels - 1; level > 0; --level) {
         Addr pte_addr = pteAddrAt(table, va, level);
         std::uint64_t pte = _mem->read64(pte_addr);
         if (!(pte & PteValid)) {
+            if (!create)
+                return noTable;
             Addr frame = _alloc();
             _mem->zero(frame, pageSize);
             _frames.push_back(frame);
             pte = makeNode(frame);
             _mem->write64(pte_addr, pte);
         }
-        panicIf(isLeaf(pte), "superpage collision while mapping");
+        panicIf(isLeaf(pte), "superpages not modelled");
         table = pteTarget(pte);
     }
-    Addr leaf_addr = pteAddrAt(table, va, 0);
-    std::uint64_t old = _mem->read64(leaf_addr);
-    panicIf(old & PteValid, "double map of va ", va);
-    _mem->write64(leaf_addr, makeLeaf(pa, perms & permMask, key_id));
+    return table;
+}
+
+void
+PageTable::map(Addr va, Addr pa, std::uint64_t perms, KeyId key_id)
+{
+    panicIf(pa % pageSize != 0, "map requires page-aligned addresses");
+    const Addr ppn = pageNumber(pa);
+    mapRun(va, {&ppn, 1}, perms, key_id);
+}
+
+void
+PageTable::mapRun(Addr va, std::span<const Addr> ppns,
+                  std::uint64_t perms, KeyId key_id)
+{
+    panicIf(va % pageSize != 0, "map requires page-aligned addresses");
+    checkRun(va, ppns.size());
+    perms &= permMask;
+    for (std::size_t done = 0; done < ppns.size();) {
+        const Addr first = va + done * pageSize;
+        const std::size_t take = pagesInLeafTable(first, ppns.size() - done);
+        Addr slot = pteAddrAt(leafTable(first, true), first, 0);
+        for (std::size_t i = 0; i < take; ++i, slot += 8) {
+            panicIf(_mem->read64(slot) & PteValid, "double map of va ",
+                    first + i * pageSize);
+            _mem->write64(slot, makeLeaf(ppns[done + i] << pageShift,
+                                         perms, key_id));
+        }
+        done += take;
+    }
+}
+
+bool
+PageTable::anyMapped(Addr va, std::size_t n) const
+{
+    checkRun(va, n);
+    for (std::size_t done = 0; done < n;) {
+        const Addr first = va + done * pageSize;
+        const std::size_t take = pagesInLeafTable(first, n - done);
+        const Addr table = leafTable(first);
+        if (table != noTable) {
+            Addr slot = pteAddrAt(table, first, 0);
+            for (std::size_t i = 0; i < take; ++i, slot += 8) {
+                if (_mem->read64(slot) & PteValid)
+                    return true;
+            }
+        }
+        done += take;
+    }
+    return false;
+}
+
+void
+PageTable::lookupRun(Addr va, std::span<LeafSlot> out) const
+{
+    checkRun(va, out.size());
+    for (std::size_t done = 0; done < out.size();) {
+        const Addr first = va + done * pageSize;
+        const std::size_t take = pagesInLeafTable(first, out.size() - done);
+        const Addr table = leafTable(first);
+        std::span<LeafSlot> chunk = out.subspan(done, take);
+        if (table == noTable) {
+            for (LeafSlot &leaf : chunk)
+                leaf = LeafSlot{};
+        } else {
+            Addr slot = pteAddrAt(table, first, 0);
+            for (LeafSlot &leaf : chunk) {
+                const std::uint64_t pte = _mem->read64(slot);
+                leaf = {slot, (pte & PteValid) != 0,
+                        pageNumber(pteTarget(pte))};
+                slot += 8;
+            }
+        }
+        done += take;
+    }
+}
+
+void
+PageTable::clearRun(std::span<const LeafSlot> slots)
+{
+    for (const LeafSlot &leaf : slots) {
+        if (leaf.valid)
+            _mem->write64(leaf.pteAddr, 0);
+    }
 }
 
 WalkResult
@@ -119,11 +213,10 @@ PageTable::walk(Addr va) const
 bool
 PageTable::unmap(Addr va)
 {
-    WalkResult res = walk(va);
-    if (!res.valid)
-        return false;
-    _mem->write64(res.pteAddr, 0);
-    return true;
+    LeafSlot leaf;
+    lookupRun(va, {&leaf, 1});
+    clearRun({&leaf, 1});
+    return leaf.valid;
 }
 
 bool

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "mem/phys_mem.hh"
@@ -53,6 +54,14 @@ struct WalkResult
     Addr visited[3] = {0, 0, 0}; ///< PTE addresses, root first
 };
 
+/** One page's leaf PTE slot, as found by PageTable::lookupRun. */
+struct LeafSlot
+{
+    Addr pteAddr = 0;   ///< physical address of the slot (0: no leaf table)
+    bool valid = false; ///< the slot holds a mapping
+    Addr ppn = 0;       ///< mapped page number, when valid
+};
+
 /**
  * One address space. Table pages are obtained from a caller-supplied
  * frame allocator so OS tables draw from OS memory while enclave
@@ -69,6 +78,20 @@ class PageTable
     /** Physical address of the root table (SATP equivalent). */
     Addr root() const { return _root; }
 
+    /** Sv39: a virtual address has 39 bits; the space ends here. */
+    static constexpr Addr vaLimit = Addr(1) << 39;
+
+    /**
+     * Does [va, va + n pages) lie inside the Sv39 space? Checked
+     * without wrapping, so a huge @p n or a va near 2^64 is refused
+     * rather than aliased onto low addresses.
+     */
+    static bool
+    inVaSpace(Addr va, std::size_t n)
+    {
+        return va < vaLimit && n <= (vaLimit - va) >> pageShift;
+    }
+
     /**
      * Map one page. @param perms leaf permission bits (PteValid is
      * implied). @param key_id stored in PTE[63:48].
@@ -77,6 +100,22 @@ class PageTable
 
     /** Remove a leaf mapping; returns false when none existed. */
     bool unmap(Addr va);
+
+    // Range operations over the consecutive pages starting at va.
+    // Each descends once per leaf table (2 MiB of VA), then works on
+    // consecutive leaf PTE slots: the same PTE words and the same
+    // frame-allocation order as page-by-page map/unmap, which are the
+    // one-page cases. They panic on a run outside the Sv39 space.
+
+    /** Map page i of the run to @p ppns[i]; panics on a double map. */
+    void mapRun(Addr va, std::span<const Addr> ppns, std::uint64_t perms,
+                KeyId key_id = 0);
+    /** True when any page of [va, va + n pages) is mapped. */
+    bool anyMapped(Addr va, std::size_t n) const;
+    /** Fill out[i] with the leaf slot of page i; allocates nothing. */
+    void lookupRun(Addr va, std::span<LeafSlot> out) const;
+    /** Clear every valid slot of a lookupRun result; skips the rest. */
+    void clearRun(std::span<const LeafSlot> slots);
 
     /** Software walk (no timing); used by the walker model and EMS. */
     WalkResult walk(Addr va) const;
@@ -102,8 +141,28 @@ class PageTable
     static constexpr int levels = 3;
     static constexpr int bitsPerLevel = 9;
 
+    /** leafTable()'s answer when the leaf table does not exist. */
+    static constexpr Addr noTable = ~Addr(0);
+
     static Addr vpn(Addr va, int level);
+    /** Pages of a run of @p n from @p va that share va's leaf table. */
+    static std::size_t pagesInLeafTable(Addr va, std::size_t n);
+    /** Panic unless [va, va + n pages) lies inside the Sv39 space. */
+    static void checkRun(Addr va, std::size_t n);
     Addr pteAddrAt(Addr table, Addr va, int level) const;
+
+    /**
+     * The one descent: physical address of the leaf table covering
+     * @p va. With @p create, missing mid and leaf tables are allocated
+     * root-first; without, an absent one yields noTable.
+     */
+    Addr leafTable(Addr va, bool create);
+    Addr
+    leafTable(Addr va) const
+    {
+        // Safe: without create the descent only reads.
+        return const_cast<PageTable *>(this)->leafTable(va, false);
+    }
 
     void walkRecurse(
         Addr table, int level, Addr va_prefix,

@@ -103,6 +103,28 @@ class PhysicalMemory
         write64Spanning(addr, value);
     }
 
+    /**
+     * Byte accessors, header-inline like read64/write64: the enclave
+     * bitmap reads and flips one byte on every granted and scrubbed
+     * page, where the generic loop cost two memcpy calls per bit.
+     */
+    std::uint8_t
+    read8(Addr addr) const
+    {
+        panicIf(!containsRange(addr, 1),
+                "physical read out of range: ", addr, "+", Addr(1));
+        const Page *page = pageForRead(addr);
+        return page ? (*page)[addr & (pageSize - 1)] : 0;
+    }
+
+    void
+    write8(Addr addr, std::uint8_t value)
+    {
+        panicIf(!containsRange(addr, 1),
+                "physical write out of range: ", addr, "+", Addr(1));
+        pageFor(addr)[addr & (pageSize - 1)] = value;
+    }
+
     /** Zero a region (page scrubbing on free/alloc). */
     void zero(Addr addr, Addr len);
 

@@ -711,5 +711,199 @@ TEST_F(RuntimeFixture, SuspendReleasesKeySlot)
     EXPECT_FALSE(rt->suspendEnclave(other));
 }
 
+/**
+ * Sv39 regressions: bits at and above 39 of a virtual address used to
+ * be dropped by the page-table index, so an out-of-space EALLOC,
+ * EFREE or EADD silently worked on the low alias of its address.
+ * Each must now be refused with InvalidArgument and change nothing.
+ */
+struct Sv39Fixture : RuntimeFixture
+{
+    static constexpr Addr beyond = PageTable::vaLimit;
+
+    EnclaveId
+    runningEnclave()
+    {
+        EnclaveId id = makeMeasuredEnclave();
+        EXPECT_EQ(invoke(PrimitiveOp::EEnter, PrivMode::Supervisor, {id})
+                      .status,
+                  PrimStatus::Ok);
+        return id;
+    }
+
+    /** Pool, ownership, bitmap and page-list sizes of @p id. */
+    std::vector<std::size_t>
+    footprint(EnclaveId id)
+    {
+        return {rt->pool().freePages(), rt->ownership().size(),
+                std::size_t(bitmap.enclavePageCount()),
+                rt->enclave(id)->pages.size(),
+                rt->enclavePageTable(id)->tableFrames().size()};
+    }
+};
+
+TEST_F(Sv39Fixture, AllocBeyondTheVaSpaceDoesNotAliasLowMemory)
+{
+    const EnclaveId id = runningEnclave();
+    const Addr alias = EnclaveLayout::heapBase + (Addr(64) << 20);
+    const auto before = footprint(id);
+    EXPECT_EQ(invoke(PrimitiveOp::EAlloc, PrivMode::User,
+                     {1, beyond + alias}, id)
+                  .status,
+              PrimStatus::InvalidArgument);
+    EXPECT_FALSE(rt->enclavePageTable(id)->walk(alias).valid);
+    EXPECT_EQ(footprint(id), before);
+}
+
+TEST_F(Sv39Fixture, FreeBeyondTheVaSpaceKeepsTheLowHeapPage)
+{
+    const EnclaveId id = runningEnclave();
+    const PageTable *pt = rt->enclavePageTable(id);
+    const WalkResult heap = pt->walk(EnclaveLayout::heapBase);
+    ASSERT_TRUE(heap.valid);
+    const auto before = footprint(id);
+    EXPECT_EQ(invoke(PrimitiveOp::EFree, PrivMode::User,
+                     {beyond + EnclaveLayout::heapBase, 1}, id)
+                  .status,
+              PrimStatus::InvalidArgument);
+    EXPECT_EQ(pt->walk(EnclaveLayout::heapBase).pa, heap.pa);
+    EXPECT_TRUE(rt->ownership().ownedBy(pageNumber(heap.pa), id));
+    EXPECT_EQ(footprint(id), before);
+}
+
+TEST_F(Sv39Fixture, AllocRangesThatWrapOrCrossTheTopAreRefused)
+{
+    const EnclaveId id = runningEnclave();
+    const PageTable *pt = rt->enclavePageTable(id);
+    const auto before = footprint(id);
+    // The top page of the 64-bit space: its second page wrapped to 0.
+    EXPECT_EQ(invoke(PrimitiveOp::EAlloc, PrivMode::User,
+                     {2, 0xffff'ffff'ffff'f000ULL}, id)
+                  .status,
+              PrimStatus::InvalidArgument);
+    // Starts inside Sv39, ends past it.
+    EXPECT_EQ(invoke(PrimitiveOp::EAlloc, PrivMode::User,
+                     {2, beyond - pageSize}, id)
+                  .status,
+              PrimStatus::InvalidArgument);
+    EXPECT_EQ(invoke(PrimitiveOp::EFree, PrivMode::User,
+                     {beyond - pageSize, std::uint64_t(1) << 62}, id)
+                  .status,
+              PrimStatus::InvalidArgument);
+    EXPECT_FALSE(pt->walk(0).valid);
+    EXPECT_FALSE(pt->walk(beyond - pageSize).valid);
+    EXPECT_EQ(footprint(id), before);
+
+    // The last page of the space itself is fine.
+    EXPECT_EQ(invoke(PrimitiveOp::EAlloc, PrivMode::User,
+                     {1, beyond - pageSize}, id)
+                  .status,
+              PrimStatus::Ok);
+    EXPECT_TRUE(pt->walk(beyond - pageSize).valid);
+}
+
+TEST_F(Sv39Fixture, AddBeyondTheVaSpaceDoesNotAliasTheImage)
+{
+    PrimitiveResponse r = invoke(PrimitiveOp::ECreate,
+                                 PrivMode::Supervisor, {4, 8, 64});
+    ASSERT_EQ(r.status, PrimStatus::Ok);
+    const EnclaveId id = static_cast<EnclaveId>(r.results.at(0));
+    const Addr alias = EnclaveLayout::codeBase + pageSize;
+    const auto before = footprint(id);
+    EXPECT_EQ(invoke(PrimitiveOp::EAdd, PrivMode::Supervisor,
+                     {id, beyond + alias, PteRead | PteExec}, 0,
+                     Bytes(pageSize, 0x90))
+                  .status,
+              PrimStatus::InvalidArgument);
+    EXPECT_FALSE(rt->enclavePageTable(id)->walk(alias).valid);
+    EXPECT_EQ(footprint(id), before);
+}
+
+/**
+ * EFREE drops pages from enc->pages in one pass; EDESTROY then hands
+ * enc->pages back to the pool in that order, and the pool's FIFO
+ * order decides which PPNs later grants receive. Check the list after
+ * each EFREE shape against a naive per-page std::erase model, then
+ * check that a re-created enclave receives the PPNs the model
+ * predicts.
+ */
+TEST_F(RuntimeFixture, FreedPagesLeaveThePageListInTeardownOrder)
+{
+    PrimitiveResponse r = invoke(PrimitiveOp::ECreate,
+                                 PrivMode::Supervisor, {4, 8, 64});
+    ASSERT_EQ(r.status, PrimStatus::Ok);
+    const EnclaveId id = static_cast<EnclaveId>(r.results.at(0));
+    for (Addr i = 0; i < 3; ++i) {
+        ASSERT_EQ(invoke(PrimitiveOp::EAdd, PrivMode::Supervisor,
+                         {id, EnclaveLayout::codeBase + i * pageSize,
+                          PteRead | PteExec},
+                         0, Bytes(pageSize, std::uint8_t(i)))
+                      .status,
+                  PrimStatus::Ok);
+    }
+    ASSERT_EQ(invoke(PrimitiveOp::EMeas, PrivMode::Supervisor, {id})
+                  .status,
+              PrimStatus::Ok);
+    const Addr a = 0x5000'0000;
+    const Addr b = a + 6 * pageSize;
+    ASSERT_EQ(invoke(PrimitiveOp::EAlloc, PrivMode::User, {6, a}, id)
+                  .status,
+              PrimStatus::Ok);
+    ASSERT_EQ(invoke(PrimitiveOp::EAlloc, PrivMode::User, {5, b}, id)
+                  .status,
+              PrimStatus::Ok);
+
+    const EnclaveControl *ctl = rt->enclave(id);
+    const PageTable *pt = rt->enclavePageTable(id);
+    std::vector<Addr> model = ctl->pages;
+    ASSERT_EQ(model.size(), 4u + 8u + 3u + 6u + 5u);
+
+    struct Free
+    {
+        const char *what;
+        Addr va;
+        std::uint64_t pages;
+    };
+    for (Free f : {Free{"middle of one EALLOC", a + 2 * pageSize, 2},
+                   Free{"across two EALLOCs", a + 4 * pageSize, 4},
+                   Free{"an EADD'd page", EnclaveLayout::codeBase +
+                                              pageSize, 1},
+                   Free{"the tail", b + 2 * pageSize, 3}}) {
+        SCOPED_TRACE(f.what);
+        for (Addr i = 0; i < f.pages; ++i) {
+            const WalkResult w = pt->walk(f.va + i * pageSize);
+            ASSERT_TRUE(w.valid);
+            std::erase(model, pageNumber(w.pa));
+        }
+        ASSERT_EQ(invoke(PrimitiveOp::EFree, PrivMode::User,
+                         {f.va, f.pages}, id)
+                      .status,
+                  PrimStatus::Ok);
+        EXPECT_EQ(ctl->pages, model);
+    }
+
+    // EDESTROY releases the data pages, then the table frames, to the
+    // back of the pool. Take the pages ahead of them, and the next
+    // enclave is built from exactly that sequence: its root frame
+    // first, then its stack and heap.
+    std::vector<Addr> released = model;
+    for (Addr frame : pt->tableFrames())
+        released.push_back(pageNumber(frame));
+    const std::size_t ahead = rt->pool().freePages();
+    ASSERT_EQ(invoke(PrimitiveOp::EDestroy, PrivMode::Supervisor, {id})
+                  .status,
+              PrimStatus::Ok);
+    ASSERT_EQ(rt->pool().allocate(ahead).size(), ahead);
+
+    r = invoke(PrimitiveOp::ECreate, PrivMode::Supervisor, {4, 8, 64});
+    ASSERT_EQ(r.status, PrimStatus::Ok);
+    const EnclaveId again = static_cast<EnclaveId>(r.results.at(0));
+    EXPECT_EQ(rt->enclavePageTable(again)->tableFrames().front(),
+              released[0] << pageShift);
+    EXPECT_EQ(rt->enclave(again)->pages,
+              std::vector<Addr>(released.begin() + 1,
+                                released.begin() + 1 + 12));
+}
+
 } // namespace
 } // namespace hypertee

@@ -21,6 +21,7 @@
 #include <string>
 
 #include "bench/bench_util.hh"
+#include "bench/fig8a_alloc.hh"
 #include "workload/profiles.hh"
 #include "workload/runner.hh"
 #include "workload/traffic.hh"
@@ -117,6 +118,30 @@ TEST(Golden, Table4PrimitiveLatencies)
         actual[prefix + ".run_instructions"] = r.stats.instructions;
     }
     checkGolden("table4_primitives.golden", actual);
+}
+
+/**
+ * The bench_fig8a_alloc --smoke sweep, run through the same
+ * runAllocSweep the bench calls. Pins per size the summed EALLOC and
+ * EFREE latencies, the bitmap flips, the pool's free-page count and
+ * the PPN the last EALLOC mapped, so page-table, bitmap, ownership
+ * and pool-order bookkeeping all show up here if they drift.
+ */
+TEST(Golden, Fig8aAllocLatency)
+{
+    logging_detail::setVerbose(false);
+    GoldenMap actual;
+    for (Addr kb : fig8aSizesKb) {
+        const AllocSweep sweep =
+            runAllocSweep((kb * 1024) >> pageShift, fig8aSmokeReps);
+        const std::string prefix = std::to_string(kb) + "KB";
+        actual[prefix + ".ealloc_ticks"] = sweep.allocTicks;
+        actual[prefix + ".efree_ticks"] = sweep.freeTicks;
+        actual[prefix + ".bitmap_updates"] = sweep.bitmapUpdates;
+        actual[prefix + ".pool_free_pages"] = sweep.poolFreePages;
+        actual[prefix + ".last_ppn"] = sweep.lastPpn;
+    }
+    checkGolden("fig8a_alloc.golden", actual);
 }
 
 /**

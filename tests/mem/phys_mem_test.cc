@@ -52,6 +52,18 @@ TEST(PhysicalMemory, Read64Write64LittleEndian)
     EXPECT_EQ(b[7], 0x01);
 }
 
+TEST(PhysicalMemory, Read8Write8MatchTheByteInterface)
+{
+    PhysicalMemory mem(kBase, kSize);
+    EXPECT_EQ(mem.read8(kBase + 5), 0);
+    EXPECT_EQ(mem.touchedPages(), 0u); // reading does not materialize
+    mem.write8(kBase + pageSize - 1, 0xa5);
+    mem.write8(kBase + pageSize, 0x5a);
+    EXPECT_EQ(mem.readBytes(kBase + pageSize - 1, 2), Bytes({0xa5, 0x5a}));
+    mem.writeBytes(kBase + 77, {0x42});
+    EXPECT_EQ(mem.read8(kBase + 77), 0x42);
+}
+
 TEST(PhysicalMemory, ZeroScrubsData)
 {
     PhysicalMemory mem(kBase, kSize);
@@ -108,6 +120,8 @@ TEST(PhysicalMemoryDeath, OutOfRangeAccessPanics)
     std::uint8_t byte = 0;
     EXPECT_DEATH(mem.write(kBase + kSize, &byte, 1), "out of range");
     EXPECT_DEATH(mem.read(kBase - 1, &byte, 1), "out of range");
+    EXPECT_DEATH(mem.write8(kBase + kSize, 1), "out of range");
+    EXPECT_DEATH(mem.read8(kBase - 1), "out of range");
 }
 
 TEST(PhysicalMemoryDeath, MisalignedConstructionIsFatal)

@@ -46,9 +46,10 @@ report(std::vector<Diagnostic> &out, const SourceFile &f, int line,
 bool
 isAccessMethod(const std::string &s)
 {
-    static const std::array<const char *, 7> names = {
-        "read",      "write",      "zero",   "read64",
-        "write64",   "readBytes",  "writeBytes"};
+    static const std::array<const char *, 9> names = {
+        "read",      "write",      "zero",      "read8",
+        "write8",    "read64",     "write64",   "readBytes",
+        "writeBytes"};
     return std::find_if(names.begin(), names.end(), [&](const char *n) {
                return s == n;
            }) != names.end();
