@@ -9,15 +9,13 @@
  * is essentially perfect (>90%).
  */
 
-#include "attack/controlled_channel.hh"
 #include "bench/bench_util.hh"
+#include "bench/table6_hypertee.hh"
 
 using namespace hypertee;
 
 namespace
 {
-
-constexpr std::size_t kBits = 96;
 
 const char *
 verdict(double accuracy)
@@ -73,32 +71,16 @@ main(int argc, char **argv)
               "uarch"},
              17);
 
-    const std::size_t bits = opts.smoke ? 32 : kBits;
+    const std::size_t bits = opts.smoke ? table6SmokeBits : table6Bits;
     for (TeeModel model : allTeeModels()) {
         std::vector<bool> secret = randomSecret(bits, 11);
         std::string alloc_cell, pt_cell, swap_cell;
 
         if (model == TeeModel::HyperTee) {
-            SystemParams p;
-            p.csMemSize = 256ULL * 1024 * 1024;
-            p.csCoreCount = 1;
-            p.ems.pool.initialPages = 8192;
-            HyperTeeSystem sys(p);
-            EnclaveHandle victim(sys, 0, EnclaveConfig{});
-            victim.addImage(Bytes(pageSize, 0x42),
-                            EnclaveLayout::codeBase,
-                            PteRead | PteExec);
-            victim.measure();
-
-            alloc_cell = cell(
-                allocationAttackHyperTee(sys, victim, secret, 21)
-                    .accuracy(secret));
-            pt_cell = cell(
-                pageTableAttackHyperTee(sys, victim, secret, 22)
-                    .accuracy(secret));
-            swap_cell =
-                cell(swapAttackHyperTee(sys, victim, secret, 23)
-                         .accuracy(secret));
+            const HyperTeeAttacks run = runHyperTeeAttacks(secret);
+            alloc_cell = cell(run.alloc.outcome.accuracy(secret));
+            pt_cell = cell(run.pageTable.outcome.accuracy(secret));
+            swap_cell = cell(run.swap.outcome.accuracy(secret));
         } else {
             BaselineOsManager m1(model, 31), m2(model, 32),
                 m3(model, 33);

@@ -59,7 +59,9 @@ runAllocSweep(Addr pages, int reps)
         fatalIf(enclave.allocAt(region, pages) != region,
                 "EALLOC failed");
         sweep.allocTicks += enclave.lastLatency();
-        sweep.lastPpn = sys.ems().enclave(enclave.id())->pages.back();
+        const PageTable *pt = sys.ems().enclavePageTable(enclave.id());
+        const Addr last_va = region + (pages - 1) * pageSize;
+        sweep.lastPpn = pageNumber(pt->walk(last_va).pa);
         fatalIf(!enclave.free(region, pages), "EFREE failed");
         sweep.freeTicks += enclave.lastLatency();
     }

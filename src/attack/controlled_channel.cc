@@ -177,8 +177,9 @@ swapAttackHyperTee(HyperTeeSystem &sys, EnclaveHandle &victim,
 {
     AttackOutcome out;
     Random rng(seed);
-    const EnclaveControl *ctl = sys.ems().enclave(victim.id());
-    panicIf(ctl == nullptr, "no victim control structure");
+    panicIf(sys.ems().enclave(victim.id()) == nullptr,
+            "no victim control structure");
+    const PageOwnershipTable &owners = sys.ems().ownership();
 
     for (bool bit : secret) {
         (void)bit;
@@ -190,10 +191,10 @@ swapAttackHyperTee(HyperTeeSystem &sys, EnclaveHandle &victim,
         if (r.accepted && r.response.status == PrimStatus::Ok) {
             for (std::size_t i = 1; i < r.response.results.size();
                  ++i) {
-                Addr ppn = pageNumber(r.response.results[i]);
-                hit_victim |=
-                    std::find(ctl->pages.begin(), ctl->pages.end(),
-                              ppn) != ctl->pages.end();
+                const PageOwner *owner =
+                    owners.lookup(pageNumber(r.response.results[i]));
+                hit_victim |= owner && owner->owner == victim.id() &&
+                              owner->kind == PageKind::Private;
             }
         }
         if (!hit_victim) {

@@ -13,7 +13,6 @@
 
 #include <map>
 #include <memory>
-#include <vector>
 
 #include "crypto/bytes.hh"
 #include "crypto/sha256.hh"
@@ -61,9 +60,6 @@ struct EnclaveControl
     std::unique_ptr<Sha256> measureCtx;
     Bytes measurement;
     std::uint64_t measuredBytes = 0;
-
-    /** Private data pages (PPNs), page-table frames excluded. */
-    std::vector<Addr> pages;
 
     Addr heapCursor = EnclaveLayout::heapBase;
     Addr shmCursor = EnclaveLayout::shmBase;

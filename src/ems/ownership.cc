@@ -9,16 +9,46 @@ PageOwnershipTable::claim(Addr ppn, EnclaveId owner, PageKind kind,
 {
     auto [it, inserted] = _table.try_emplace(ppn, PageOwner{owner, kind,
                                                             shm});
-    (void)it;
-    if (!inserted)
+    if (!inserted) {
         ++_conflicts;
-    return inserted;
+        return false;
+    }
+    if (kind == PageKind::Private) {
+        PageList &list = _lists[owner];
+        it->second.prev = list.tail;
+        if (list.tail == noPage)
+            list.head = ppn;
+        else
+            _table.at(list.tail).next = ppn;
+        list.tail = ppn;
+        ++list.count;
+    }
+    return true;
 }
 
 bool
 PageOwnershipTable::release(Addr ppn)
 {
-    return _table.erase(ppn) != 0;
+    auto it = _table.find(ppn);
+    if (it == _table.end())
+        return false;
+    const PageOwner &page = it->second;
+    if (page.kind == PageKind::Private) {
+        auto found = _lists.find(page.owner);
+        PageList &list = found->second;
+        if (page.prev == noPage)
+            list.head = page.next;
+        else
+            _table.at(page.prev).next = page.next;
+        if (page.next == noPage)
+            list.tail = page.prev;
+        else
+            _table.at(page.next).prev = page.prev;
+        if (--list.count == 0)
+            _lists.erase(found);
+    }
+    _table.erase(it);
+    return true;
 }
 
 const PageOwner *
@@ -32,22 +62,21 @@ std::vector<Addr>
 PageOwnershipTable::pagesOf(EnclaveId enclave) const
 {
     std::vector<Addr> out;
-    for (const auto &[ppn, owner] : _table) {
-        if (owner.owner == enclave)
-            out.push_back(ppn);
-    }
+    auto list = _lists.find(enclave);
+    if (list == _lists.end())
+        return out;
+    out.reserve(list->second.count);
+    for (Addr ppn = list->second.head; ppn != noPage;
+         ppn = _table.at(ppn).next)
+        out.push_back(ppn);
     return out;
 }
 
-std::vector<Addr>
-PageOwnershipTable::pagesOfShm(ShmId shm) const
+std::size_t
+PageOwnershipTable::privatePages(EnclaveId enclave) const
 {
-    std::vector<Addr> out;
-    for (const auto &[ppn, owner] : _table) {
-        if (owner.kind == PageKind::Shared && owner.shm == shm)
-            out.push_back(ppn);
-    }
-    return out;
+    auto list = _lists.find(enclave);
+    return list == _lists.end() ? 0 : list->second.count;
 }
 
 } // namespace hypertee

@@ -11,25 +11,6 @@
 namespace hypertee
 {
 
-namespace
-{
-
-/**
- * Drop @p ppns from @p pages in one pass, keeping the other pages'
- * order (EDESTROY returns pages to the pool in that order).
- */
-void
-forgetPages(std::vector<Addr> &pages, const std::vector<Addr> &ppns)
-{
-    std::vector<Addr> gone(ppns);
-    std::sort(gone.begin(), gone.end());
-    std::erase_if(pages, [&](Addr ppn) {
-        return std::binary_search(gone.begin(), gone.end(), ppn);
-    });
-}
-
-} // namespace
-
 EmsRuntime::EmsRuntime(EmsPort *port, PhysicalMemory *cs_mem,
                        const KeyManager &km,
                        const EmsRuntimeParams &params,
@@ -237,7 +218,6 @@ EmsRuntime::mapEnclaveRun(EnclaveControl &enc, Addr va,
                           std::uint64_t perms, Tick &service)
 {
     enc.pageTable->mapRun(va, ppns, perms | PteUser, enc.keyId);
-    enc.pages.insert(enc.pages.end(), ppns.begin(), ppns.end());
     // Charged per page: instTime truncates, so perPageMapTime(n) is
     // not n * perPageMapTime(1).
     service += ppns.size() * _cost.perPageMapTime(1);
@@ -269,7 +249,7 @@ EmsRuntime::teardown(EnclaveId id, Tick &service)
     }
 
     // Scrub every private page and page-table frame, then recycle.
-    scrubAndReturn(enc.pages, service);
+    scrubAndReturn(_ownership.pagesOf(id), service);
     std::vector<Addr> pt_frames;
     for (Addr frame : enc.pageTable->tableFrames())
         pt_frames.push_back(pageNumber(frame));
@@ -593,11 +573,12 @@ EmsRuntime::doFree(const PrimitiveRequest &req, Tick &service)
 
     // All or nothing: validate the whole range before unmapping any
     // of it, so a rejected request leaves every page mapped, owned
-    // and still tracked for EDESTROY's scrub. Each mapped private
-    // page of the enclave is in enc->pages once, so a run longer
-    // than that fails within its first pages.size() + 1 pages: only
-    // those are looked up, and they decide the status.
-    std::vector<LeafSlot> slots(std::min(n, enc->pages.size() + 1));
+    // and still owned for EDESTROY's scrub. The enclave owns each of
+    // its mapped private pages once, so a run longer than that fails
+    // within its first privatePages() + 1 pages: only those are
+    // looked up, and they decide the status.
+    std::vector<LeafSlot> slots(
+        std::min(n, _ownership.privatePages(enc->id) + 1));
     enc->pageTable->lookupRun(va, slots);
     std::vector<Addr> freed;
     freed.reserve(slots.size());
@@ -612,7 +593,6 @@ EmsRuntime::doFree(const PrimitiveRequest &req, Tick &service)
     }
     panicIf(freed.size() != n, "EFREE validated a short run");
     enc->pageTable->clearRun(slots);
-    forgetPages(enc->pages, freed);
     scrubAndReturn(freed, service);
 
     PrimitiveResponse resp;

@@ -149,7 +149,7 @@ class EmsRuntime
                                  Tick &service);
     /** The one way back: scrub, unprotect, disown and pool each page. */
     void scrubAndReturn(const std::vector<Addr> &ppns, Tick &service);
-    /** Map @p ppns at @p va in @p enc and track them as its pages. */
+    /** Map @p ppns at @p va in @p enc, charging per page. */
     void mapEnclaveRun(EnclaveControl &enc, Addr va,
                        std::span<const Addr> ppns, std::uint64_t perms,
                        Tick &service);

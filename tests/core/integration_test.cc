@@ -44,7 +44,7 @@ TEST_F(IntegrationTest, HostCannotReachAnyEnclavePage)
 
     // The OS maps *every* page the enclave owns (data + page-table
     // frames) into host space and dereferences each one.
-    std::vector<Addr> all = ctl->pages;
+    std::vector<Addr> all = sys.ems().ownership().pagesOf(enclave.id());
     for (Addr frame : ctl->pageTable->tableFrames())
         all.push_back(pageNumber(frame));
 
@@ -71,8 +71,8 @@ TEST_F(IntegrationTest, DestroyLeavesNoSecretResidue)
     ASSERT_NE(heap, 0u);
 
     // The enclave writes secrets into its heap.
-    const EnclaveControl *ctl = sys.ems().enclave(enclave.id());
-    std::vector<Addr> frames = ctl->pages;
+    std::vector<Addr> frames =
+        sys.ems().ownership().pagesOf(enclave.id());
     for (Addr ppn : frames) {
         sys.csMem().writeBytes(ppn << pageShift,
                                bytesFromString("TOP-SECRET"));

@@ -116,9 +116,9 @@ TEST_F(SystemTest, EnclaveIdentityCannotBeForgedThroughGate)
     // gate encapsulates invalid/malicious identity, so an EALLOC it
     // issues cannot land in the victim's address space.
     std::size_t victim_pages =
-        sys.ems().enclave(victim.id())->pages.size();
+        sys.ems().ownership().privatePages(victim.id());
     sys.emCall(1).invoke(PrimitiveOp::EAlloc, PrivMode::User, {4});
-    EXPECT_EQ(sys.ems().enclave(victim.id())->pages.size(),
+    EXPECT_EQ(sys.ems().ownership().privatePages(victim.id()),
               victim_pages);
 }
 

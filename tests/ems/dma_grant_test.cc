@@ -101,8 +101,7 @@ TEST_F(DmaGrantTest, DmaCannotReachPrivateEnclaveMemory)
     // private pages remain unreachable by the device.
     sys.ems().grantDmaAccess(driver.id(), channel, 1,
                              DmaRead | DmaWrite);
-    const EnclaveControl *ctl = sys.ems().enclave(user.id());
-    for (Addr ppn : ctl->pages) {
+    for (Addr ppn : sys.ems().ownership().pagesOf(user.id())) {
         EXPECT_FALSE(
             sys.ihub().dmaAccess(1, ppn << pageShift, 64, false));
     }

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <vector>
+
 #include "ems/ownership.hh"
 
 namespace hypertee
@@ -53,13 +56,85 @@ TEST(Ownership, EnumeratesPagesOfEnclave)
 
 TEST(Ownership, TracksSharedPagesByShm)
 {
+    // Shared pages keep their ShmID tag and stay out of the owner's
+    // private-page list, so they are never swept as private memory.
     PageOwnershipTable table;
     table.claim(10, 1, PageKind::Shared, 55);
     table.claim(11, 1, PageKind::Shared, 55);
     table.claim(12, 1, PageKind::Shared, 56);
-    EXPECT_EQ(table.pagesOfShm(55).size(), 2u);
-    EXPECT_EQ(table.pagesOfShm(56).size(), 1u);
     EXPECT_EQ(table.lookup(10)->kind, PageKind::Shared);
+    EXPECT_EQ(table.lookup(10)->shm, 55u);
+    EXPECT_EQ(table.lookup(11)->shm, 55u);
+    EXPECT_EQ(table.lookup(12)->shm, 56u);
+    EXPECT_TRUE(table.ownedBy(12, 1));
+    EXPECT_TRUE(table.pagesOf(1).empty());
+    EXPECT_EQ(table.privatePages(1), 0u);
+    EXPECT_EQ(table.size(), 3u);
+}
+
+TEST(Ownership, ListsPrivatePagesPerOwnerInClaimOrder)
+{
+    // Each owner's private pages form one list in claim order (the
+    // EDESTROY order); shared pages and page-table frames never join.
+    PageOwnershipTable table;
+    std::map<EnclaveId, std::vector<Addr>> model;
+    auto check = [&] {
+        for (const auto &[id, pages] : model) {
+            EXPECT_EQ(table.pagesOf(id), pages) << "owner " << id;
+            EXPECT_EQ(table.privatePages(id), pages.size())
+                << "owner " << id;
+        }
+    };
+    auto claim = [&](Addr ppn, EnclaveId id) {
+        ASSERT_TRUE(table.claim(ppn, id));
+        model[id].push_back(ppn);
+    };
+    auto release = [&](Addr ppn, EnclaveId id) {
+        ASSERT_TRUE(table.release(ppn));
+        std::erase(model[id], ppn);
+    };
+
+    claim(10, 7);
+    ASSERT_TRUE(table.claim(11, 7, PageKind::Shared, 55));
+    claim(12, 8);
+    claim(13, 7);
+    ASSERT_TRUE(table.claim(14, 7, PageKind::PageTable));
+    claim(15, 7);
+    ASSERT_TRUE(table.claim(16, 8, PageKind::Shared, 56));
+    claim(17, 8);
+    claim(18, 7);
+    check();
+    EXPECT_EQ(table.lookup(11)->kind, PageKind::Shared);
+    EXPECT_EQ(table.lookup(11)->shm, 55u);
+    EXPECT_EQ(table.lookup(16)->shm, 56u);
+
+    // A rejected double claim leaves every list unchanged, whoever
+    // the claimant.
+    EXPECT_FALSE(table.claim(13, 8));
+    EXPECT_FALSE(table.claim(15, 7));
+    EXPECT_FALSE(table.claim(12, 7, PageKind::PageTable));
+    check();
+
+    release(10, 7); // head
+    check();
+    release(15, 7); // middle
+    check();
+    release(18, 7); // tail
+    check();
+    ASSERT_TRUE(table.release(11));
+    ASSERT_TRUE(table.release(14));
+    check();
+
+    // Emptied, then refilled: the list starts again from its head,
+    // and a released page may join another owner's list.
+    release(13, 7);
+    check();
+    claim(15, 7);
+    claim(10, 8);
+    check();
+
+    EXPECT_TRUE(table.pagesOf(99).empty());
+    EXPECT_EQ(table.privatePages(99), 0u);
 }
 
 TEST(Ownership, PageTableKindTracked)

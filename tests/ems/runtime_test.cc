@@ -105,7 +105,7 @@ TEST_F(RuntimeFixture, CreateBuildsEnclaveWithStaticAllocation)
     ASSERT_NE(enc_ctl, nullptr);
     EXPECT_EQ(enc_ctl->state, EnclaveState::Created);
     // Static allocation: 4 stack + 8 heap pages already mapped.
-    EXPECT_EQ(enc_ctl->pages.size(), 12u);
+    EXPECT_EQ(rt->ownership().privatePages(id), 12u);
     EXPECT_NE(enc_ctl->keyId, 0);
     EXPECT_TRUE(enc.hasKey(enc_ctl->keyId));
     // Completion time is nonzero and models EMS work.
@@ -266,13 +266,13 @@ TEST_F(RuntimeFixture, EnterExitLifecycle)
 TEST_F(RuntimeFixture, AllocExtendsHeapWithZeroedOwnedPages)
 {
     EnclaveId id = makeMeasuredEnclave();
-    std::size_t pages_before = rt->enclave(id)->pages.size();
+    std::size_t pages_before = rt->ownership().privatePages(id);
 
     PrimitiveResponse r =
         invoke(PrimitiveOp::EAlloc, PrivMode::User, {3}, id);
     ASSERT_EQ(r.status, PrimStatus::Ok);
     Addr va = r.results.at(0);
-    EXPECT_EQ(rt->enclave(id)->pages.size(), pages_before + 3);
+    EXPECT_EQ(rt->ownership().privatePages(id), pages_before + 3);
 
     const PageTable *pt = rt->enclavePageTable(id);
     for (int i = 0; i < 3; ++i) {
@@ -331,6 +331,7 @@ TEST_F(RuntimeFixture, RejectedFreeLeavesTheRangeMappedAndFreeable)
     // the next, so a request that failed part-way lost the pages it
     // had already passed. The retry could not find them, EDESTROY did
     // not scrub them, and they stayed owned by the dead enclave.
+    const std::size_t owned_before = rt->ownership().size();
     EnclaveId id = makeMeasuredEnclave();
     ASSERT_EQ(invoke(PrimitiveOp::EEnter, PrivMode::Supervisor, {id})
                   .status,
@@ -357,13 +358,20 @@ TEST_F(RuntimeFixture, RejectedFreeLeavesTheRangeMappedAndFreeable)
     EXPECT_FALSE(pt->walk(v).valid);
     EXPECT_FALSE(bitmap.isEnclavePage(ppn));
 
+    // pagesOf lists private pages only: page-table frames are checked
+    // one by one, and the table's size covers every kind.
+    const std::vector<Addr> pt_frames = pt->tableFrames();
     ASSERT_EQ(invoke(PrimitiveOp::EExit, PrivMode::User, {}, id).status,
               PrimStatus::Ok);
     ASSERT_EQ(invoke(PrimitiveOp::EDestroy, PrivMode::Supervisor, {id})
                   .status,
               PrimStatus::Ok);
     EXPECT_TRUE(rt->ownership().pagesOf(id).empty());
+    EXPECT_EQ(rt->ownership().privatePages(id), 0u);
     EXPECT_EQ(rt->ownership().lookup(ppn), nullptr);
+    for (Addr frame : pt_frames)
+        EXPECT_EQ(rt->ownership().lookup(pageNumber(frame)), nullptr);
+    EXPECT_EQ(rt->ownership().size(), owned_before);
 }
 
 TEST_F(RuntimeFixture, AllocOverAnExistingMappingIsRejected)
@@ -389,7 +397,7 @@ TEST_F(RuntimeFixture, AllocOverAnExistingMappingIsRejected)
     const std::size_t pool_free = rt->pool().freePages();
     const std::size_t owned = rt->ownership().size();
     const std::size_t bitmap_set = enclave_pages_in_cs();
-    const std::size_t pages = ctl->pages.size();
+    const std::size_t pages = rt->ownership().privatePages(id);
     const Addr cursor = ctl->heapCursor;
 
     struct Overlap
@@ -423,7 +431,7 @@ TEST_F(RuntimeFixture, AllocOverAnExistingMappingIsRejected)
     EXPECT_EQ(pool_after_cursor_map + 1, pool_free);
     EXPECT_EQ(rt->ownership().size(), owned + 1);
     EXPECT_EQ(enclave_pages_in_cs(), bitmap_set + 1);
-    EXPECT_EQ(ctl->pages.size(), pages + 1);
+    EXPECT_EQ(rt->ownership().privatePages(id), pages + 1);
     EXPECT_EQ(pt->walk(v).pa, pa);
     EXPECT_FALSE(pt->walk(v - pageSize).valid);
 }
@@ -582,10 +590,13 @@ TEST_F(RuntimeFixture, ShmAtRejectsWhenItsWindowRunsOut)
 
 TEST_F(RuntimeFixture, DestroyScrubsEverything)
 {
+    const std::size_t owned_before = rt->ownership().size();
     EnclaveId id = makeMeasuredEnclave();
     const EnclaveControl *ctl = rt->enclave(id);
     KeyId key = ctl->keyId;
-    std::vector<Addr> pages = ctl->pages;
+    std::vector<Addr> pages = rt->ownership().pagesOf(id);
+    for (Addr frame : rt->enclavePageTable(id)->tableFrames())
+        pages.push_back(pageNumber(frame));
 
     PrimitiveResponse r =
         invoke(PrimitiveOp::EDestroy, PrivMode::Supervisor, {id});
@@ -596,6 +607,7 @@ TEST_F(RuntimeFixture, DestroyScrubsEverything)
         EXPECT_FALSE(bitmap.isEnclavePage(ppn));
         EXPECT_EQ(rt->ownership().lookup(ppn), nullptr);
     }
+    EXPECT_EQ(rt->ownership().size(), owned_before);
     // Destroyed enclaves reject further primitives.
     EXPECT_EQ(invoke(PrimitiveOp::EEnter, PrivMode::Supervisor, {id})
                   .status,
@@ -646,8 +658,8 @@ TEST_F(RuntimeFixture, WbNeverReturnsActiveEnclavePages)
 {
     // Defense 2 of the swapping countermeasure (Section IV-A).
     EnclaveId id = makeMeasuredEnclave();
-    std::set<Addr> active(rt->enclave(id)->pages.begin(),
-                          rt->enclave(id)->pages.end());
+    const std::vector<Addr> pages = rt->ownership().pagesOf(id);
+    std::set<Addr> active(pages.begin(), pages.end());
     for (int round = 0; round < 10; ++round) {
         PrimitiveResponse r =
             invoke(PrimitiveOp::EWb, PrivMode::Supervisor, {4});
@@ -737,7 +749,7 @@ struct Sv39Fixture : RuntimeFixture
     {
         return {rt->pool().freePages(), rt->ownership().size(),
                 std::size_t(bitmap.enclavePageCount()),
-                rt->enclave(id)->pages.size(),
+                rt->ownership().privatePages(id),
                 rt->enclavePageTable(id)->tableFrames().size()};
     }
 };
@@ -820,8 +832,9 @@ TEST_F(Sv39Fixture, AddBeyondTheVaSpaceDoesNotAliasTheImage)
 }
 
 /**
- * EFREE drops pages from enc->pages in one pass; EDESTROY then hands
- * enc->pages back to the pool in that order, and the pool's FIFO
+ * EFREE unlinks pages from the ownership table's per-enclave list;
+ * EDESTROY then hands pagesOf() back to the pool in that order
+ * (claim order, less the freed pages), and the pool's FIFO
  * order decides which PPNs later grants receive. Check the list after
  * each EFREE shape against a naive per-page std::erase model, then
  * check that a re-created enclave receives the PPNs the model
@@ -853,9 +866,8 @@ TEST_F(RuntimeFixture, FreedPagesLeaveThePageListInTeardownOrder)
                   .status,
               PrimStatus::Ok);
 
-    const EnclaveControl *ctl = rt->enclave(id);
     const PageTable *pt = rt->enclavePageTable(id);
-    std::vector<Addr> model = ctl->pages;
+    std::vector<Addr> model = rt->ownership().pagesOf(id);
     ASSERT_EQ(model.size(), 4u + 8u + 3u + 6u + 5u);
 
     struct Free
@@ -879,7 +891,7 @@ TEST_F(RuntimeFixture, FreedPagesLeaveThePageListInTeardownOrder)
                          {f.va, f.pages}, id)
                       .status,
                   PrimStatus::Ok);
-        EXPECT_EQ(ctl->pages, model);
+        EXPECT_EQ(rt->ownership().pagesOf(id), model);
     }
 
     // EDESTROY releases the data pages, then the table frames, to the
@@ -900,7 +912,7 @@ TEST_F(RuntimeFixture, FreedPagesLeaveThePageListInTeardownOrder)
     const EnclaveId again = static_cast<EnclaveId>(r.results.at(0));
     EXPECT_EQ(rt->enclavePageTable(again)->tableFrames().front(),
               released[0] << pageShift);
-    EXPECT_EQ(rt->enclave(again)->pages,
+    EXPECT_EQ(rt->ownership().pagesOf(again),
               std::vector<Addr>(released.begin() + 1,
                                 released.begin() + 1 + 12));
 }

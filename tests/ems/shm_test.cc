@@ -274,8 +274,7 @@ TEST_F(ShmFixture, SharedPagesNeverReissuedAsPrivate)
         PrimitiveResponse r =
             invoke(PrimitiveOp::EAlloc, PrivMode::User, {4}, attacker);
         ASSERT_EQ(r.status, PrimStatus::Ok);
-        const EnclaveControl *ctl = rt->enclave(attacker);
-        for (Addr ppn : ctl->pages)
+        for (Addr ppn : rt->ownership().pagesOf(attacker))
             EXPECT_EQ(shared.count(ppn), 0u);
     }
 }

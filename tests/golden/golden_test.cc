@@ -22,6 +22,7 @@
 
 #include "bench/bench_util.hh"
 #include "bench/fig8a_alloc.hh"
+#include "bench/table6_hypertee.hh"
 #include "workload/profiles.hh"
 #include "workload/runner.hh"
 #include "workload/traffic.hh"
@@ -142,6 +143,36 @@ TEST(Golden, Fig8aAllocLatency)
         actual[prefix + ".last_ppn"] = sweep.lastPpn;
     }
     checkGolden("fig8a_alloc.golden", actual);
+}
+
+/**
+ * Table VI's HyperTEE row at the bench_table6_defense --smoke bit
+ * count, run through the same runHyperTeeAttacks the bench calls.
+ * Pins per attack the correctly recovered bits, the blocked
+ * observations and the pool's OS requests, so a change to what the
+ * attacker-OS can see of EALLOC, page-table frames or EWB shows up
+ * here.
+ */
+TEST(Golden, Table6HyperTeeAttacks)
+{
+    logging_detail::setVerbose(false);
+    const std::vector<bool> secret = randomSecret(table6SmokeBits, 11);
+    const HyperTeeAttacks run = runHyperTeeAttacks(secret);
+
+    GoldenMap actual;
+    auto pin = [&](const std::string &name, const HyperTeeAttack &a) {
+        std::uint64_t correct = 0;
+        for (std::size_t i = 0; i < secret.size(); ++i)
+            correct += a.outcome.recovered.at(i) == secret[i];
+        actual[name + ".correct_bits"] = correct;
+        actual[name + ".blocked_observations"] =
+            a.outcome.blockedObservations;
+        actual[name + ".pool_os_requests"] = a.osRequests;
+    };
+    pin("alloc", run.alloc);
+    pin("pagetable", run.pageTable);
+    pin("swap", run.swap);
+    checkGolden("table6_defense.golden", actual);
 }
 
 /**
