@@ -9,64 +9,10 @@
  * impact of the warm pool.
  */
 
-#include "attack/controlled_channel.hh"
+#include "bench/ablation_pool.hh"
 #include "bench/bench_util.hh"
 
 using namespace hypertee;
-
-namespace
-{
-
-struct PoolResult
-{
-    double attackAccuracy;
-    double avgAllocUs;
-    std::uint64_t osGrants;
-};
-
-PoolResult
-runWithPool(bool warm, bool smoke)
-{
-    SystemParams p;
-    p.csMemSize = 256ULL * 1024 * 1024;
-    p.csCoreCount = 1;
-    if (warm) {
-        p.ems.pool.initialPages = 8192;
-        p.ems.pool.refillBatch = 2048;
-    } else {
-        // Degenerate pool: every draw goes to the OS.
-        p.ems.pool.initialPages = 0;
-        p.ems.pool.refillBatch = 1;
-        p.ems.pool.minThreshold = 0;
-        p.ems.pool.maxThreshold = 0;
-    }
-    HyperTeeSystem sys(p);
-    EnclaveHandle victim(sys, 0, EnclaveConfig{});
-    victim.addImage(Bytes(pageSize, 0x42), EnclaveLayout::codeBase,
-                    PteRead | PteExec);
-    victim.measure();
-
-    std::vector<bool> secret = randomSecret(smoke ? 32 : 128, 77);
-    std::uint64_t grants_before = sys.osPoolGrants();
-    AttackOutcome out =
-        allocationAttackHyperTee(sys, victim, secret, 78);
-
-    // Latency probe.
-    victim.enter();
-    Tick total = 0;
-    const int reps = smoke ? 16 : 64;
-    for (int i = 0; i < reps; ++i) {
-        Addr va = victim.alloc(4);
-        total += victim.lastLatency();
-        victim.free(va, 4);
-    }
-    victim.exit();
-
-    return {out.accuracy(secret), double(total) / 1e6 / reps,
-            sys.osPoolGrants() - grants_before};
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -82,11 +28,11 @@ main(int argc, char **argv)
     printRow({"pool", "attack-acc", "ealloc(us)", "os-grants"}, 16);
     PoolResult warm = runWithPool(true, opts.smoke);
     PoolResult cold = runWithPool(false, opts.smoke);
-    printRow({"warm (HyperTEE)", pct(warm.attackAccuracy, 0),
-              num(warm.avgAllocUs, 1), std::to_string(warm.osGrants)},
+    printRow({"warm (HyperTEE)", pct(warm.attack.accuracy(warm.secret), 0),
+              num(warm.avgAllocUs(), 1), std::to_string(warm.osGrants)},
              16);
-    printRow({"pass-through", pct(cold.attackAccuracy, 0),
-              num(cold.avgAllocUs, 1), std::to_string(cold.osGrants)},
+    printRow({"pass-through", pct(cold.attack.accuracy(cold.secret), 0),
+              num(cold.avgAllocUs(), 1), std::to_string(cold.osGrants)},
              16);
 
     std::printf("\nexpected: pass-through leaks every bit (~100%%) "

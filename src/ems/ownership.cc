@@ -3,23 +3,43 @@
 namespace hypertee
 {
 
+PageOwnershipTable::Region *
+PageOwnershipTable::findRegionSlow(Addr number) const
+{
+    auto it = _regions.find(number);
+    if (it == _regions.end())
+        return nullptr; // misses are never cached
+    _cachedNumber = number;
+    _cachedRegion = it->second.get();
+    return _cachedRegion;
+}
+
 bool
 PageOwnershipTable::claim(Addr ppn, EnclaveId owner, PageKind kind,
                           ShmId shm)
 {
-    auto [it, inserted] = _table.try_emplace(ppn, PageOwner{owner, kind,
-                                                            shm});
-    if (!inserted) {
+    const Addr number = ppn >> regionShift;
+    Region *region = findRegion(number);
+    if (!region) {
+        region = (_regions[number] = std::make_unique<Region>()).get();
+        _cachedNumber = number;
+        _cachedRegion = region;
+    }
+    Slot &slot = region->slots[ppn & (regionFrames - 1)];
+    if (slot.used) {
         ++_conflicts;
         return false;
     }
+    slot = Slot{PageOwner{owner, kind, shm}, true, noPage, noPage};
+    ++region->live;
+    ++_size;
     if (kind == PageKind::Private) {
         PageList &list = _lists[owner];
-        it->second.prev = list.tail;
+        slot.prev = list.tail;
         if (list.tail == noPage)
             list.head = ppn;
         else
-            _table.at(list.tail).next = ppn;
+            linked(list.tail).next = ppn;
         list.tail = ppn;
         ++list.count;
     }
@@ -29,33 +49,35 @@ PageOwnershipTable::claim(Addr ppn, EnclaveId owner, PageKind kind,
 bool
 PageOwnershipTable::release(Addr ppn)
 {
-    auto it = _table.find(ppn);
-    if (it == _table.end())
+    const Addr number = ppn >> regionShift;
+    Region *region = findRegion(number);
+    if (!region)
         return false;
-    const PageOwner &page = it->second;
-    if (page.kind == PageKind::Private) {
-        auto found = _lists.find(page.owner);
+    Slot &slot = region->slots[ppn & (regionFrames - 1)];
+    if (!slot.used)
+        return false;
+    if (slot.page.kind == PageKind::Private) {
+        auto found = _lists.find(slot.page.owner);
         PageList &list = found->second;
-        if (page.prev == noPage)
-            list.head = page.next;
+        if (slot.prev == noPage)
+            list.head = slot.next;
         else
-            _table.at(page.prev).next = page.next;
-        if (page.next == noPage)
-            list.tail = page.prev;
+            linked(slot.prev).next = slot.next;
+        if (slot.next == noPage)
+            list.tail = slot.prev;
         else
-            _table.at(page.next).prev = page.prev;
+            linked(slot.next).prev = slot.prev;
         if (--list.count == 0)
             _lists.erase(found);
     }
-    _table.erase(it);
+    slot = Slot{};
+    --_size;
+    if (--region->live == 0) {
+        _regions.erase(number);
+        if (_cachedNumber == number)
+            _cachedNumber = noPage;
+    }
     return true;
-}
-
-const PageOwner *
-PageOwnershipTable::lookup(Addr ppn) const
-{
-    auto it = _table.find(ppn);
-    return it == _table.end() ? nullptr : &it->second;
 }
 
 std::vector<Addr>
@@ -67,7 +89,7 @@ PageOwnershipTable::pagesOf(EnclaveId enclave) const
         return out;
     out.reserve(list->second.count);
     for (Addr ppn = list->second.head; ppn != noPage;
-         ppn = _table.at(ppn).next)
+         ppn = linked(ppn).next)
         out.push_back(ppn);
     return out;
 }

@@ -13,32 +13,30 @@ PhysicalMemory::PhysicalMemory(Addr base, Addr size)
     fatalIf(size == 0, "physical memory must be non-empty");
     fatalIf(base % pageSize != 0, "memory base must be page aligned");
     fatalIf(size % pageSize != 0, "memory size must be page aligned");
+    _regions.resize(((size - 1) >> regionShift) + 1);
 }
 
 PhysicalMemory::Page &
-PhysicalMemory::pageForSlow(Addr page_base)
+PhysicalMemory::materialize(Addr addr)
 {
-    auto &slot = _pages[page_base];
-    if (!slot) {
-        slot = std::make_unique<Page>();
-        slot->fill(0);
+    std::unique_ptr<Region> &region = _regions[regionIndex(addr)];
+    if (!region)
+        region = std::make_unique<Region>();
+    std::unique_ptr<Page> &page = region->pages[pageIndex(addr)];
+    if (!page) {
+        page = std::make_unique<Page>(); // value-initialized: zeroes
+        ++region->live;
     }
-    std::size_t s = lookupSlot(page_base);
-    _lookupBase[s] = page_base;
-    _lookupPage[s] = slot.get();
-    return *slot;
+    return *page;
 }
 
-const PhysicalMemory::Page *
-PhysicalMemory::pageForReadSlow(Addr page_base) const
+std::size_t
+PhysicalMemory::touchedPages() const
 {
-    auto it = _pages.find(page_base);
-    if (it == _pages.end())
-        return nullptr; // absent pages are never cached
-    std::size_t s = lookupSlot(page_base);
-    _lookupBase[s] = page_base;
-    _lookupPage[s] = it->second.get();
-    return it->second.get();
+    std::size_t pages = 0;
+    for (const std::unique_ptr<Region> &region : _regions)
+        pages += region ? region->live : 0;
+    return pages;
 }
 
 void
@@ -111,19 +109,25 @@ PhysicalMemory::write64Spanning(Addr addr, std::uint64_t value)
 }
 
 void
-PhysicalMemory::zero(Addr addr, Addr len)
+PhysicalMemory::zeroSlow(Addr addr, Addr len)
 {
-    panicIf(!containsRange(addr, len), "zero out of range");
+    panicIf(!containsRange(addr, len), "physical zero out of range: ", addr,
+            "+", len);
     while (len > 0) {
         Addr in_page = addr - pageAlign(addr);
         Addr take = std::min<Addr>(len, pageSize - in_page);
         if (in_page == 0 && take == pageSize) {
             // Whole page: drop the backing store instead of writing,
-            // and drop any cached pointer into it.
-            std::size_t s = lookupSlot(addr);
-            if (_lookupPage[s] && _lookupBase[s] == addr)
-                _lookupPage[s] = nullptr;
-            _pages.erase(addr);
+            // and the region with its last page.
+            std::unique_ptr<Region> &region = _regions[regionIndex(addr)];
+            if (region) {
+                std::unique_ptr<Page> &page = region->pages[pageIndex(addr)];
+                if (page) {
+                    page.reset();
+                    if (--region->live == 0)
+                        region.reset();
+                }
+            }
         } else {
             std::memset(pageFor(addr).data() + in_page, 0, take);
         }

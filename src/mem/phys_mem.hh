@@ -5,7 +5,9 @@
  * Holds the actual bytes of the simulated machine: enclave images,
  * page tables, the enclave bitmap, EMS private structures. Pages are
  * allocated lazily so multi-GiB address spaces cost only what is
- * touched.
+ * touched. They are found through a directory of 2 MiB regions
+ * indexed from the base: a lookup is two array reads, and a region's
+ * page slots exist only while one of its pages does.
  */
 
 #ifndef HYPERTEE_MEM_PHYS_MEM_HH
@@ -14,7 +16,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <vector>
 
 #include "crypto/bytes.hh"
 #include "sim/logging.hh"
@@ -125,60 +127,88 @@ class PhysicalMemory
         pageFor(addr)[addr & (pageSize - 1)] = value;
     }
 
-    /** Zero a region (page scrubbing on free/alloc). */
-    void zero(Addr addr, Addr len);
+    /**
+     * Zero a range (page scrubbing on free/alloc); a whole page drops
+     * its backing store. Header-inline fast path: the EMS scrubs every
+     * page on its way into and out of the pool, and such a page is
+     * almost never materialized, so the common call is two array
+     * reads.
+     */
+    void
+    zero(Addr addr, Addr len)
+    {
+        if (len == pageSize && (addr & (pageSize - 1)) == 0 &&
+            contains(addr)) {
+            const Region *region = _regions[regionIndex(addr)].get();
+            if (!region || !region->pages[pageIndex(addr)])
+                return; // absent: already reads as zero
+        }
+        zeroSlow(addr, len);
+    }
 
     /** Number of physically materialized backing pages. */
-    std::size_t touchedPages() const { return _pages.size(); }
+    std::size_t touchedPages() const;
 
   private:
     using Page = std::array<std::uint8_t, pageSize>;
 
+    /** Backing pages are indexed by 2 MiB region of the range. */
+    static constexpr Addr regionShift = 21;
+    static constexpr std::size_t regionPages =
+        std::size_t(1) << (regionShift - pageShift);
+
     /**
-     * Direct-mapped cache of page-map probes. Backing pages are heap
-     * allocations owned by _pages, so cached pointers stay valid
-     * across map rehashes; the only invalidation point is the
-     * whole-page erase in zero(). Misses (absent pages) are never
-     * cached, so lazily materialized pages are picked up naturally.
+     * One 2 MiB region: its lazily allocated pages and how many of
+     * them exist. A region is allocated with its first page and freed
+     * with its last, so memory tracks what is touched.
      */
-    static constexpr std::size_t lookupSlots = 64;
+    struct Region
+    {
+        std::array<std::unique_ptr<Page>, regionPages> pages;
+        std::size_t live = 0;
+    };
+
+    /** Directory index of @p addr's region, and its slot there. */
+    std::size_t
+    regionIndex(Addr addr) const
+    {
+        return (addr - _base) >> regionShift;
+    }
 
     std::size_t
-    lookupSlot(Addr page_base) const
+    pageIndex(Addr addr) const
     {
-        return (page_base >> pageShift) & (lookupSlots - 1);
+        return ((addr - _base) >> pageShift) & (regionPages - 1);
     }
 
     Page &
     pageFor(Addr addr)
     {
-        Addr page_base = pageAlign(addr);
-        std::size_t slot = lookupSlot(page_base);
-        if (_lookupPage[slot] && _lookupBase[slot] == page_base)
-            return *_lookupPage[slot];
-        return pageForSlow(page_base);
+        Region *region = _regions[regionIndex(addr)].get();
+        if (region) {
+            Page *page = region->pages[pageIndex(addr)].get();
+            if (page)
+                return *page;
+        }
+        return materialize(addr);
     }
 
     const Page *
     pageForRead(Addr addr) const
     {
-        Addr page_base = pageAlign(addr);
-        std::size_t slot = lookupSlot(page_base);
-        if (_lookupPage[slot] && _lookupBase[slot] == page_base)
-            return _lookupPage[slot];
-        return pageForReadSlow(page_base);
+        const Region *region = _regions[regionIndex(addr)].get();
+        return region ? region->pages[pageIndex(addr)].get() : nullptr;
     }
 
-    Page &pageForSlow(Addr page_base);
-    const Page *pageForReadSlow(Addr page_base) const;
+    Page &materialize(Addr addr);
+    void zeroSlow(Addr addr, Addr len);
     std::uint64_t read64Spanning(Addr addr) const;
     void write64Spanning(Addr addr, std::uint64_t value);
 
     Addr _base;
     Addr _size;
-    std::unordered_map<Addr, std::unique_ptr<Page>> _pages;
-    mutable std::array<Page *, lookupSlots> _lookupPage{};
-    mutable std::array<Addr, lookupSlots> _lookupBase{};
+    /** Region directory over [base, base+size), sized at construction. */
+    std::vector<std::unique_ptr<Region>> _regions;
 };
 
 } // namespace hypertee

@@ -137,6 +137,102 @@ TEST(Ownership, ListsPrivatePagesPerOwnerInClaimOrder)
     EXPECT_EQ(table.privatePages(99), 0u);
 }
 
+TEST(Ownership, PageListsSpanRegionsAndFreedRegionsRefill)
+{
+    // Entries live in 2 MiB regions (512 frames) that come and go
+    // with their pages. Lists link across regions, and a region that
+    // empties and is claimed again must start clean.
+    constexpr Addr a = 3 * 512;
+    constexpr Addr b = 10 * 512;
+    constexpr Addr c = (Addr(1) << 30) + 7 * 512; // far, sparse PPN
+    PageOwnershipTable table;
+    struct Entry
+    {
+        EnclaveId owner;
+        PageKind kind;
+        ShmId shm;
+    };
+    std::map<Addr, Entry> owned;
+    std::map<EnclaveId, std::vector<Addr>> lists;
+    std::vector<Addr> released;
+    auto check = [&] {
+        EXPECT_EQ(table.size(), owned.size());
+        for (const auto &[id, pages] : lists) {
+            EXPECT_EQ(table.pagesOf(id), pages) << "owner " << id;
+            EXPECT_EQ(table.privatePages(id), pages.size())
+                << "owner " << id;
+        }
+        for (const auto &[ppn, e] : owned) {
+            const PageOwner *o = table.lookup(ppn);
+            ASSERT_NE(o, nullptr) << "ppn " << ppn;
+            EXPECT_EQ(o->owner, e.owner) << "ppn " << ppn;
+            EXPECT_EQ(o->kind, e.kind) << "ppn " << ppn;
+            EXPECT_EQ(o->shm, e.shm) << "ppn " << ppn;
+        }
+        for (Addr ppn : released) {
+            if (!owned.count(ppn)) {
+                EXPECT_EQ(table.lookup(ppn), nullptr) << "ppn " << ppn;
+            }
+        }
+    };
+    auto claim = [&](Addr ppn, EnclaveId id,
+                     PageKind kind = PageKind::Private, ShmId shm = 0) {
+        ASSERT_TRUE(table.claim(ppn, id, kind, shm)) << "ppn " << ppn;
+        owned[ppn] = {id, kind, shm};
+        if (kind == PageKind::Private)
+            lists[id].push_back(ppn);
+        check();
+    };
+    auto release = [&](Addr ppn) {
+        ASSERT_TRUE(table.release(ppn)) << "ppn " << ppn;
+        std::erase(lists[owned.at(ppn).owner], ppn);
+        owned.erase(ppn);
+        released.push_back(ppn);
+        check();
+    };
+
+    claim(a + 5, 7);
+    claim(b, 8, PageKind::Shared, 55);
+    claim(c + 511, 7);
+    claim(a + 6, 8);
+    claim(b + 1, 7, PageKind::PageTable);
+    claim(c, 8);
+    claim(b + 511, 7);
+    claim(a + 511, 8);
+    claim(c + 100, 9, PageKind::Shared, 56);
+
+    // Region c: release its pages so that the last one to go has list
+    // neighbours in regions a and b.
+    release(c + 100);
+    release(c);
+    release(c + 511);
+    EXPECT_EQ(table.lookup(c + 100), nullptr);
+    // Claim back into the freed region, then empty it through a page
+    // with no list, so the region found last is the one freed.
+    claim(c + 511, 8);
+    claim(c + 3, 7, PageKind::PageTable);
+    release(c + 511);
+    release(c + 3);
+    claim(c + 3, 7);
+    claim(c + 511, 8, PageKind::Shared, 57);
+    EXPECT_FALSE(table.claim(c + 3, 8));
+    EXPECT_FALSE(table.release(c + 4));
+    check();
+
+    // Empty region a completely, refill it, then drain everything.
+    release(a + 5);
+    release(a + 6);
+    release(a + 511);
+    EXPECT_FALSE(table.release(a + 5));
+    claim(a + 511, 7);
+    claim(a, 8);
+    for (Addr ppn : {b, b + 1, c + 3, a + 511, b + 511, c + 511, a})
+        release(ppn);
+    EXPECT_EQ(table.size(), 0u);
+    EXPECT_TRUE(table.pagesOf(7).empty());
+    EXPECT_TRUE(table.pagesOf(8).empty());
+}
+
 TEST(Ownership, PageTableKindTracked)
 {
     PageOwnershipTable table;

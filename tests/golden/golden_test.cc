@@ -20,6 +20,7 @@
 #include <map>
 #include <string>
 
+#include "bench/ablation_pool.hh"
 #include "bench/bench_util.hh"
 #include "bench/fig8a_alloc.hh"
 #include "bench/table6_hypertee.hh"
@@ -173,6 +174,31 @@ TEST(Golden, Table6HyperTeeAttacks)
     pin("pagetable", run.pageTable);
     pin("swap", run.swap);
     checkGolden("table6_defense.golden", actual);
+}
+
+/**
+ * The bench_ablation_pool --smoke run, through the same runWithPool
+ * the bench calls. Pins per pool mode the correctly recovered secret
+ * bits, the OS grants and the summed EALLOC latency of the probe, so
+ * a change to what the pool hides, or to what it costs, shows up
+ * here. The pass-through pool draws every page from the OS, so this
+ * is also the run that exercises the ownership table hardest.
+ */
+TEST(Golden, AblationPool)
+{
+    logging_detail::setVerbose(false);
+    GoldenMap actual;
+    for (bool warm : {true, false}) {
+        const PoolResult run = runWithPool(warm, /*smoke=*/true);
+        std::uint64_t correct = 0;
+        for (std::size_t i = 0; i < run.secret.size(); ++i)
+            correct += run.attack.recovered.at(i) == run.secret[i];
+        const std::string prefix = warm ? "warm" : "passthrough";
+        actual[prefix + ".correct_bits"] = correct;
+        actual[prefix + ".os_grants"] = run.osGrants;
+        actual[prefix + ".ealloc_ticks"] = run.allocTicks;
+    }
+    checkGolden("ablation_pool.golden", actual);
 }
 
 /**
