@@ -36,7 +36,10 @@ main(int argc, char **argv)
              16);
 
     std::printf("\nexpected: pass-through leaks every bit (~100%%) "
-                "and pays an OS grant per allocation; the warm pool "
-                "hides both signal and latency.\n");
+                "through the OS grants of EALLOCs that find its pool "
+                "empty, and the warm pool makes none; ealloc(us) is "
+                "the same for both, because each probe EFREE refills "
+                "the free list the next EALLOC draws from, so only the "
+                "probe's first EALLOC reaches the OS.\n");
     return finishBench(opts, {});
 }

@@ -78,7 +78,16 @@ class ShardStats
     ShardStats &operator=(const ShardStats &other);
     ShardStats &operator=(ShardStats &&other) noexcept;
 
+    /**
+     * The stat named @p name, created on first use. Each call takes
+     * the mutex and searches a string-keyed std::map, so a caller that
+     * samples per event resolves its stats once and keeps the
+     * reference. It stays valid until this container is destroyed or
+     * assigned to: std::map nodes never move, and moving the
+     * container hands them to the new one.
+     */
     Scalar &scalar(const std::string &name);
+    /** As scalar(), for a Distribution. */
     Distribution &distribution(const std::string &name);
 
     /** Lookup without creating; nullptr when absent. */

@@ -146,11 +146,12 @@ class FleetChurn final : public RequestSource
         // state rather than the create-heavy ramp transient. Creates are
         // still exercised — the churn mix re-creates what it destroys.
         _slotPages.resize(_p.enclaveSlots);
+        _livePos.resize(_p.enclaveSlots);
         for (std::uint32_t slot = 0; slot < _p.enclaveSlots; ++slot) {
             _slotPages[slot] = _pool->allocate(_p.pagesPerEnclave);
             panicIf(_slotPages[slot].size() != _p.pagesPerEnclave,
                     "modelled OS ran out of pages during pre-warm");
-            _live.push_back(slot);
+            addLive(slot);
         }
         _peakLive = _live.size();
     }
@@ -207,7 +208,7 @@ class FleetChurn final : public RequestSource
           case FleetOp::Create: {
             slot = req.target = _freeSlots.back();
             _freeSlots.pop_back();
-            _live.push_back(slot);
+            addLive(slot);
             _peakLive = std::max<std::uint64_t>(_peakLive, _live.size());
             service = _cost.instTime(EmsCostModel::baseInsts(
                           PrimitiveOp::ECreate)) +
@@ -244,9 +245,15 @@ class FleetChurn final : public RequestSource
                       _p.sealCryptoPerPage * Tick(_p.sealPages);
             break;
           case FleetOp::Destroy: {
-            auto it = std::find(_live.begin(), _live.end(), slot);
-            panicIf(it == _live.end(), "destroy of a dead slot");
-            *it = _live.back();
+            // Swap-remove through the position index: the last live
+            // slot takes the destroyed one's place. make() draws from
+            // _live by index, so this order is part of the seeded run.
+            std::uint32_t pos = _livePos[slot];
+            panicIf(pos >= _live.size() || _live[pos] != slot,
+                    "destroy of a dead slot");
+            std::uint32_t moved = _live.back();
+            _live[pos] = moved;
+            _livePos[moved] = pos;
             _live.pop_back();
             _freeSlots.push_back(slot);
             pages = _slotPages[slot].size();
@@ -296,6 +303,13 @@ class FleetChurn final : public RequestSource
     }
 
   private:
+    void
+    addLive(std::uint32_t slot)
+    {
+        _livePos[slot] = static_cast<std::uint32_t>(_live.size());
+        _live.push_back(slot);
+    }
+
     FleetTrafficParams _p;
     EmsCostModel _cost;
     std::unique_ptr<EnclaveMemoryPool> _pool;
@@ -304,10 +318,13 @@ class FleetChurn final : public RequestSource
     std::vector<Addr> _osFree;
     Addr _osNextPpn = 0x100000;
 
-    // Fleet state: slot -> pages held; free slots; live slot list.
+    // Fleet state: slot -> pages held; free slots; live slot list,
+    // in the order make() draws from, and each live slot's index in it
+    // (stale for a free slot). 32-bit positions keep the index small.
     std::vector<std::vector<Addr>> _slotPages;
     std::vector<std::uint32_t> _freeSlots;
     std::vector<std::uint32_t> _live;
+    std::vector<std::uint32_t> _livePos;
     std::uint64_t _peakLive = 0;
     std::uint64_t _osGrantStalls = 0;
 };
@@ -468,15 +485,33 @@ FleetTrafficSim::clientDispatch(unsigned client)
     }
 }
 
+FleetTrafficSim::ClassStats &
+FleetTrafficSim::classStats(std::uint32_t cls)
+{
+    if (cls >= _classStats.size())
+        _classStats.resize(cls + 1);
+    return _classStats[cls];
+}
+
+std::string
+FleetTrafficSim::classKey(std::uint32_t cls, const char *suffix) const
+{
+    return _prefix + "." + _source->className(cls) + suffix;
+}
+
 bool
 FleetTrafficSim::admit(EmsRequest req)
 {
-    const char *cls = _source->className(req.cls);
+    ClassStats &cs = classStats(req.cls);
     ++_offered;
-    _stats.scalar(_prefix + "." + cls + "_offered") += 1;
+    if (cs.offered == nullptr)
+        cs.offered = &_stats.scalar(classKey(req.cls, "_offered"));
+    *cs.offered += 1;
     if (_queue.size() >= _p.queueCapacity) {
         ++_rejected;
-        _stats.scalar(_prefix + "." + cls + "_rejected") += 1;
+        if (cs.rejected == nullptr)
+            cs.rejected = &_stats.scalar(classKey(req.cls, "_rejected"));
+        *cs.rejected += 1;
         return false;
     }
     req.service = _source->admit(req, _rng);
@@ -528,10 +563,10 @@ FleetTrafficSim::recordCompletion(const EmsRequest &req, Tick finish)
     // transport back to the client.
     Tick poll = _p.jitterMax > 0 ? _rng.below(_p.jitterMax + 1) : 0;
     Tick done = finish + poll + _p.transportOverhead;
-    _stats
-        .distribution(_prefix + "." + _source->className(req.cls) +
-                      "_latency")
-        .sample(double(done - req.issued));
+    ClassStats &cs = classStats(req.cls);
+    if (cs.latency == nullptr)
+        cs.latency = &_stats.distribution(classKey(req.cls, "_latency"));
+    cs.latency->sample(double(done - req.issued));
     ++_completed;
     if (_p.mode == FleetLoadMode::ClosedLoop)
         _eq.reschedule(_clientEv[req.client].get(), done + think());

@@ -307,10 +307,28 @@ class FleetTrafficSim
     void recordCompletion(const EmsRequest &req, Tick finish);
     Tick think();
 
+    /**
+     * One request class's stats. Each is resolved through ShardStats
+     * the first time its class uses it, so it exists only from then
+     * on (a class never rejected has no `_rejected` scalar), and is
+     * kept, since a ShardStats lookup per request would cost more than
+     * the queueing model. Classes that share a name share the stats.
+     */
+    struct ClassStats
+    {
+        Scalar *offered = nullptr;
+        Scalar *rejected = nullptr;
+        Distribution *latency = nullptr;
+    };
+    ClassStats &classStats(std::uint32_t cls);
+    /** `<prefix>.<class name><suffix>`. */
+    std::string classKey(std::uint32_t cls, const char *suffix) const;
+
     FleetTrafficParams _p;
     std::string _prefix;
     ShardStats &_stats;
     std::unique_ptr<RequestSource> _source;
+    std::vector<ClassStats> _classStats; ///< indexed by request class
 
     EventQueue _eq;
     Random _rng; ///< source draws, think jitter, obfuscation jitter

@@ -14,16 +14,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <map>
+#include <sstream>
 #include <string>
 
 #include "bench/ablation_pool.hh"
 #include "bench/bench_util.hh"
 #include "bench/fig8a_alloc.hh"
 #include "bench/table6_hypertee.hh"
+#include "sim/json.hh"
+#include "sim/stats_export.hh"
 #include "workload/profiles.hh"
 #include "workload/runner.hh"
 #include "workload/traffic.hh"
@@ -312,6 +316,50 @@ TEST(Golden, FleetSloSmokeSweep)
             std::uint64_t(attest.quantile(0.999));
     }
     checkGolden("fleet_slo.golden", actual);
+}
+
+/**
+ * Every stat the bench_fleet_slo --smoke sweep exports, for every
+ * request class: each scalar's value (rounded to an integer; all but
+ * goodput_rps are counts) and each distribution's count, p50 and p99
+ * in ticks. The stat names come from the container's own JSON
+ * export, so a stat created, dropped or renamed shows up as a
+ * missing or unpinned key.
+ */
+TEST(Golden, FleetSloStats)
+{
+    logging_detail::setVerbose(false);
+    GoldenMap actual;
+    for (const FleetScenario &scenario :
+         fleetSloScenarios(/*smoke=*/true, /*seed=*/42)) {
+        ShardStats stats;
+        FleetTrafficSim sim(scenario.params, scenario.name, stats);
+        sim.run();
+
+        std::ostringstream text;
+        JsonWriter w(text);
+        stats.writeJson(w, scenario.name);
+        std::optional<JsonValue> doc = JsonValue::parse(text.str());
+        ASSERT_TRUE(doc.has_value()) << scenario.name;
+        const JsonValue *scalars = doc->find("scalars");
+        const JsonValue *dists = doc->find("distributions");
+        ASSERT_TRUE(scalars != nullptr && dists != nullptr);
+        for (const auto &[name, v] : scalars->members()) {
+            const Scalar *s = stats.findScalar(name);
+            ASSERT_NE(s, nullptr) << name;
+            actual[name] = std::uint64_t(std::llround(s->value()));
+        }
+        for (const auto &[name, v] : dists->members()) {
+            const Distribution *d = stats.findDistribution(name);
+            ASSERT_NE(d, nullptr) << name;
+            actual[name + ".count"] = d->count();
+            actual[name + ".p50_ticks"] =
+                std::uint64_t(d->quantile(0.5));
+            actual[name + ".p99_ticks"] =
+                std::uint64_t(d->quantile(0.99));
+        }
+    }
+    checkGolden("fleet_slo_stats.golden", actual);
 }
 
 } // namespace

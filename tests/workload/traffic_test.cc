@@ -180,5 +180,98 @@ TEST(EmsScheduler, FullQueueRejectsAndClientRetriesAfterTransportAndThink)
     EXPECT_EQ(stats.scalar("t.c_rejected").value(), 10.0);
 }
 
+TEST(EmsScheduler, PerClassStatsAreCreatedOnFirstUseAndSharedByName)
+{
+    // Clients 0 and 1 share class "a"; client 2 is "b". All three
+    // start at tick 0 with one core and room for one waiting request:
+    // a0 is served, a1 waits, b finds the queue full. The 10 ms
+    // transport then spreads the round trips apart: b is rejected,
+    // a never is.
+    FleetTrafficParams p = quiet(1, 3, 40);
+    p.queueCapacity = 1;
+    p.transportOverhead = 10'000'000;
+    std::vector<std::uint64_t> admitted(3, 0);
+    auto cost = [&admitted](std::uint32_t c, std::uint64_t) {
+        ++admitted.at(c);
+        return Tick(c == 2 ? 300'000 : 1'000'000);
+    };
+    ShardStats stats;
+    FleetTrafficSim sim(
+        p,
+        std::make_unique<ScriptedSource>(
+            std::vector<std::string>{"a", "a", "b"}, cost),
+        "t", stats);
+    sim.run();
+    ASSERT_GT(sim.rejected(), 0u);
+    ASSERT_GT(sim.completed(), 0u);
+
+    EXPECT_EQ(stats.findScalar("t.a_rejected"), nullptr)
+        << "a was never rejected but has a _rejected stat";
+    ASSERT_NE(stats.findScalar("t.b_rejected"), nullptr);
+
+    double offered_sum = 0;
+    for (const char *cls : {"a", "b"}) {
+        const std::string key = std::string("t.") + cls;
+        const Scalar *offered = stats.findScalar(key + "_offered");
+        const Distribution *lat = stats.findDistribution(key + "_latency");
+        ASSERT_NE(offered, nullptr) << cls;
+        ASSERT_NE(lat, nullptr) << cls;
+        offered_sum += offered->value();
+        // Every admitted request completes, so the rest were rejected.
+        const double rejected = offered->value() - double(lat->count());
+        const Scalar *rej = stats.findScalar(key + "_rejected");
+        EXPECT_EQ(rej ? rej->value() : 0.0, rejected) << cls;
+    }
+    EXPECT_EQ(offered_sum, double(sim.offered()));
+
+    // Both "a" clients completed requests into the one Distribution.
+    EXPECT_GT(admitted[0], 0u);
+    EXPECT_GT(admitted[1], 0u);
+    EXPECT_EQ(stats.findDistribution("t.a_latency")->count(),
+              admitted[0] + admitted[1]);
+    EXPECT_EQ(stats.findDistribution("t.b_latency")->count(), admitted[2]);
+}
+
+TEST(EmsScheduler, SmallFleetChurnKeepsTheLiveSetConsistent)
+{
+    // A fleet of two or three slots random-walks between empty and
+    // full, so a destroy often removes the last or the only live slot,
+    // and a slot moved by a swap-remove is soon destroyed itself.
+    for (std::size_t slots : {2u, 3u}) {
+        FleetTrafficParams p;
+        p.enclaveSlots = slots;
+        p.requests = 20'000;
+        p.offeredRatePerSec = 100'000;
+        p.seed = 7;
+        auto run = [&p](ShardStats &stats) {
+            FleetTrafficSim sim(p, "f", stats);
+            sim.run();
+            EXPECT_EQ(sim.offered(), p.requests);
+            EXPECT_EQ(sim.offered(), sim.completed() + sim.rejected());
+            return std::vector<std::uint64_t>{sim.offered(),
+                                              sim.completed(),
+                                              sim.rejected(),
+                                              sim.endTime()};
+        };
+        ShardStats first, second;
+        const std::vector<std::uint64_t> a = run(first);
+        const std::vector<std::uint64_t> b = run(second);
+        EXPECT_EQ(a, b) << slots << " slots";
+
+        const Scalar *peak = first.findScalar("f.peak_live_enclaves");
+        ASSERT_NE(peak, nullptr);
+        EXPECT_LE(peak->value(), double(slots));
+        for (const char *op : {"create", "destroy"}) {
+            const std::string key = std::string("f.") + op + "_latency";
+            const Distribution *d1 = first.findDistribution(key);
+            const Distribution *d2 = second.findDistribution(key);
+            ASSERT_NE(d1, nullptr) << key;
+            ASSERT_NE(d2, nullptr) << key;
+            EXPECT_GT(d1->count(), 1000u) << key;
+            EXPECT_EQ(d1->samples(), d2->samples()) << key;
+        }
+    }
+}
+
 } // namespace
 } // namespace hypertee
