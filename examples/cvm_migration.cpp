@@ -65,9 +65,11 @@ main()
     // 4. The host tampers with the saved image on disk.
     CvmSnapshot tampered = snap;
     tampered.encryptedPages[3][100] ^= 0x01;
+    bool tamper_rejected = source.restore(tampered) == 0;
     std::printf("[restore] tampered snapshot: %s\n",
-                source.restore(tampered) == 0 ? "REJECTED"
-                                              : "accepted (bug!)");
+                tamper_rejected ? "REJECTED" : "accepted (bug!)");
+    if (!tamper_rejected)
+        return 1;
     CvmId restored = source.restore(snap);
     std::printf("[restore] pristine snapshot: CVM %u (page 3: \"%s\")\n",
                 restored,
@@ -92,6 +94,8 @@ main()
         bundle, rogue_km.endorsementPublicKey(), dest_priv);
     std::printf("[migrate] rogue source attestation: %s\n",
                 rejected == 0 ? "REJECTED" : "accepted (bug!)");
+    if (rejected != 0)
+        return 1;
 
     CvmId moved = dest.migrateIn(
         bundle, source_km.endorsementPublicKey(), dest_priv);

@@ -105,6 +105,8 @@ main(int argc, char **argv)
                                    measurement);
     std::printf("[eattest] quote %zu bytes; verifier says: %s\n",
                 quote.size(), trusted ? "TRUSTED" : "REJECTED");
+    if (!trusted)
+        return 1;
     Bytes session = verifier.sessionKey(quote);
     std::printf("[sigma] session key established (%zu bytes)\n",
                 session.size());
@@ -118,14 +120,17 @@ main(int argc, char **argv)
     std::printf("[seal] sealed %zu -> %zu bytes; unseal: %s\n",
                 std::size_t(16), blob.ciphertext.size(),
                 unsealed ? "ok" : "FAILED");
+    if (!unsealed)
+        return 1;
 
     // A different (patched) enclave cannot unseal the blob.
     Bytes other_meas(32, 0xEE);
     Bytes stolen;
+    bool leaked = unseal(sys.keyManager(), other_meas, blob, stolen);
     std::printf("[seal] unseal with wrong measurement: %s\n",
-                unseal(sys.keyManager(), other_meas, blob, stolen)
-                    ? "LEAKED (bug!)"
-                    : "rejected");
+                leaked ? "LEAKED (bug!)" : "rejected");
+    if (leaked)
+        return 1;
 
     // 9. Tear down: EEXIT restores the host context, EDESTROY scrubs
     //    every page and releases the KeyID.

@@ -93,16 +93,15 @@ main()
         driver.id(), channel, /*device=*/1, DmaRead | DmaWrite);
     const ShmControl *shm = sys.ems().shm(channel);
     Addr shm_pa = shm->pages.front() << pageShift;
+    bool in_window = sys.ihub().dmaAccess(1, shm_pa, 64, false);
+    bool out_of_window =
+        sys.ihub().dmaAccess(1, shm_pa + (256 << pageShift), 64, true);
     std::printf("[dma] %zu whitelist window(s); in-window access %s, "
                 "out-of-window access %s\n",
-                windows,
-                sys.ihub().dmaAccess(1, shm_pa, 64, false)
-                    ? "allowed"
-                    : "DISCARDED (bug!)",
-                sys.ihub().dmaAccess(1, shm_pa + (256 << pageShift),
-                                     64, true)
-                    ? "ALLOWED (bug!)"
-                    : "discarded");
+                windows, in_window ? "allowed" : "DISCARDED (bug!)",
+                out_of_window ? "ALLOWED (bug!)" : "discarded");
+    if (!in_window || out_of_window)
+        return 1;
 
     // --- run inferences: conventional vs HyperTEE data path ---
     GemminiModel gemmini;
@@ -135,9 +134,13 @@ main()
     Addr stolen = intruder.shmAttach(channel, PteRead);
     std::printf("  unauthorized enclave attach: %s\n",
                 stolen == 0 ? "rejected" : "LEAKED (bug!)");
+    if (stolen != 0)
+        return 1;
     bool released = intruder.shmDestroy(channel);
     std::printf("  unauthorized destroy: %s\n",
                 released ? "ALLOWED (bug!)" : "rejected");
+    if (released)
+        return 1;
     intruder.exit();
 
     // Orderly teardown by the rightful owner.
@@ -150,6 +153,8 @@ main()
     user.exit();
     std::printf("  owner destroy after detach: %s\n",
                 destroyed ? "ok" : "FAILED");
+    if (!destroyed)
+        return 1;
 
     std::printf("\nsecure inference demo complete.\n");
     return 0;

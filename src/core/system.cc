@@ -15,7 +15,9 @@ HyperTeeSystem::HyperTeeSystem(const SystemParams &params) : _p(params)
     // The chip initialization logic reserves the bitmap region at the
     // base of CS memory; the OS frame allocator starts above it.
     _bitmap = std::make_unique<EnclaveBitmap>(_csMem.get(), _p.csMemBase);
-    _frameCursor = _p.csMemBase + _bitmap->regionSize();
+    _osFrames = std::make_unique<OsFrames>(
+        pageNumber(_p.csMemBase + _bitmap->regionSize()),
+        pageNumber(_p.csMemBase + _p.csMemSize));
 
     _encEngine =
         std::make_unique<MemoryEncryptionEngine>(_p.encryptionKeySlots);
@@ -41,23 +43,8 @@ HyperTeeSystem::HyperTeeSystem(const SystemParams &params) : _p(params)
     _ekPublic = _km->endorsementPublicKey();
 
     // EMS runtime, fed by the OS frame allocator.
-    EmsPort &port = _ihub->emsPort();
-    auto os_alloc = [this](std::size_t n) {
-        std::vector<Addr> out;
-        for (std::size_t i = 0; i < n; ++i) {
-            Addr pa = osAllocFrame();
-            if (pa == 0)
-                break;
-            out.push_back(pageNumber(pa));
-        }
-        ++_osPoolGrants;
-        return out;
-    };
-    auto os_release = [this](const std::vector<Addr> &ppns) {
-        osFreeFrames(ppns);
-    };
-    _ems = std::make_unique<EmsRuntime>(&port, _csMem.get(), *_km,
-                                        _p.ems, os_alloc, os_release);
+    _ems = std::make_unique<EmsRuntime>(&_ihub->emsPort(), _csMem.get(),
+                                        *_km, _p.ems, *_osFrames);
 
     // Secure boot: EEPROM hashes match the shipped images.
     Bytes runtime_image = bytesFromString("hypertee-ems-runtime-v1");
@@ -71,9 +58,9 @@ HyperTeeSystem::HyperTeeSystem(const SystemParams &params) : _p(params)
 
     // Host page table (the OS's own address space management).
     _hostPt = std::make_unique<PageTable>(_csMem.get(), [this] {
-        Addr pa = osAllocFrame();
-        fatalIf(pa == 0, "OS out of frames for host page tables");
-        return pa;
+        std::optional<Addr> ppn = _osFrames->grantOne();
+        fatalIf(!ppn, "OS out of frames for host page tables");
+        return *ppn << pageShift;
     });
 
     // CS cores + one EMCall gate per core, with context hooks.
@@ -117,35 +104,13 @@ HyperTeeSystem::platformMeasurement() const
     return _ems->platformMeasurement();
 }
 
-Addr
-HyperTeeSystem::osAllocFrame()
-{
-    if (!_freeFrames.empty()) {
-        Addr ppn = _freeFrames.back();
-        _freeFrames.pop_back();
-        return ppn << pageShift;
-    }
-    if (_frameCursor + pageSize > _p.csMemBase + _p.csMemSize)
-        return 0;
-    Addr pa = _frameCursor;
-    _frameCursor += pageSize;
-    return pa;
-}
-
-void
-HyperTeeSystem::osFreeFrames(const std::vector<Addr> &ppns)
-{
-    for (Addr ppn : ppns)
-        _freeFrames.push_back(ppn);
-}
-
 void
 HyperTeeSystem::osMapRange(Addr va, Addr bytes, std::uint64_t perms)
 {
     for (Addr off = 0; off < bytes; off += pageSize) {
-        Addr pa = osAllocFrame();
-        fatalIf(pa == 0, "OS out of physical frames");
-        _hostPt->map(va + off, pa, perms | PteUser);
+        std::optional<Addr> ppn = _osFrames->grantOne();
+        fatalIf(!ppn, "OS out of physical frames");
+        _hostPt->map(va + off, *ppn << pageShift, perms | PteUser);
     }
 }
 

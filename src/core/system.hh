@@ -6,7 +6,7 @@
  * bitmap, the multi-key memory encryption and integrity engines, the
  * iHub with its mailbox and DMA whitelist, the per-core EMCall gates
  * and a secure-booted EMS runtime. Also provides a minimal CS OS
- * model: a physical frame allocator and a host page table, which is
+ * model: one OsFrames frame allocator and a host page table, which is
  * all the untrusted OS contributes to enclave management here.
  */
 
@@ -67,17 +67,13 @@ class HyperTeeSystem
     const Bytes &platformMeasurement() const;
 
     // ---- minimal CS OS ----
-    /** Allocate one physical frame (OS view); 0 when exhausted. */
-    Addr osAllocFrame();
-    /** Return frames to the OS free list. */
-    void osFreeFrames(const std::vector<Addr> &ppns);
     /** Host (non-enclave) address space. */
     PageTable &hostPageTable() { return *_hostPt; }
     /** Map fresh frames for a host VA range. */
     void osMapRange(Addr va, Addr bytes, std::uint64_t perms);
 
-    /** Frames the OS handed to the EMS pool (attack observable). */
-    std::uint64_t osPoolGrants() const { return _osPoolGrants; }
+    /** Grants the OS made to the EMS pool (attack observable). */
+    std::uint64_t osPoolGrants() const { return _ems->pool().osRequests(); }
 
   private:
     SystemParams _p;
@@ -85,6 +81,9 @@ class HyperTeeSystem
     std::unique_ptr<PhysicalMemory> _csMem;
     std::unique_ptr<PhysicalMemory> _emsMem;
     std::unique_ptr<EnclaveBitmap> _bitmap;
+    /** CS memory above the bitmap: host page tables, host mappings
+     *  and the EMS pool's batches all come from here. */
+    std::unique_ptr<OsFrames> _osFrames;
     std::unique_ptr<MemoryEncryptionEngine> _encEngine;
     std::unique_ptr<MemoryIntegrityEngine> _integEngine;
     std::unique_ptr<IHub> _ihub;
@@ -95,9 +94,6 @@ class HyperTeeSystem
     std::unique_ptr<PageTable> _hostPt;
 
     Bytes _ekPublic;
-    Addr _frameCursor;
-    std::vector<Addr> _freeFrames;
-    std::uint64_t _osPoolGrants = 0;
 };
 
 } // namespace hypertee

@@ -1,17 +1,56 @@
 #include "ems/memory_pool.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace hypertee
 {
 
-EnclaveMemoryPool::EnclaveMemoryPool(OsAllocator alloc, OsReleaser release,
-                                     const Params &params,
-                                     std::uint64_t seed)
-    : _alloc(std::move(alloc)), _release(std::move(release)), _p(params),
-      _rng(seed)
+std::size_t
+OsFrames::grantInto(std::size_t n, Addr *out)
 {
-    panicIf(!_alloc, "pool needs an OS allocator");
+    std::size_t reused = 0;
+    for (; reused < n && !_free.empty(); ++reused) {
+        out[reused] = _free.back();
+        _free.pop_back();
+    }
+    const Addr first = _next;
+    std::size_t fresh = std::min<Addr>(n - reused, _end - first);
+    for (std::size_t i = 0; i < fresh; ++i)
+        out[reused + i] = first + i;
+    _next = first + fresh;
+    return reused + fresh;
+}
+
+std::vector<Addr>
+OsFrames::grant(std::size_t n)
+{
+    std::vector<Addr> out(
+        std::min(n, _free.size() + std::min<Addr>(n, _end - _next)));
+    out.resize(grantInto(n, out.data()));
+    return out;
+}
+
+std::optional<Addr>
+OsFrames::grantOne()
+{
+    Addr ppn = 0;
+    if (grantInto(1, &ppn) == 0)
+        return std::nullopt;
+    return ppn;
+}
+
+void
+OsFrames::take(const std::vector<Addr> &ppns)
+{
+    _free.insert(_free.end(), ppns.begin(), ppns.end());
+}
+
+EnclaveMemoryPool::EnclaveMemoryPool(OsFrames &os, const Params &params,
+                                     std::uint64_t seed)
+    : _os(os), _p(params), _rng(seed)
+{
     fatalIf(_p.minThreshold > _p.maxThreshold, "bad threshold band");
     fatalIf(_p.lowWatermark != 0 && _p.highWatermark != 0 &&
                 _p.lowWatermark > _p.highWatermark,
@@ -30,7 +69,7 @@ void
 EnclaveMemoryPool::refill(std::size_t at_least)
 {
     std::size_t want = std::max(at_least, _p.refillBatch);
-    std::vector<Addr> pages = _alloc(want);
+    std::vector<Addr> pages = _os.grant(want);
     ++_osRequests;
     _osRequestSizes.push_back(pages.size());
     for (Addr p : pages)
@@ -89,10 +128,8 @@ EnclaveMemoryPool::returnToOs(std::size_t n)
         pages.push_back(_free.front());
         _free.pop_front();
     }
-    if (_release && !pages.empty()) {
-        _release(pages);
-        _osReturns += pages.size();
-    }
+    _os.take(pages);
+    _osReturns += pages.size();
 }
 
 EnclaveMemoryPool::Rebalance

@@ -10,15 +10,19 @@
  * re-randomized after every enlargement, so the refill cadence
  * cannot be reverse-engineered either.
  *
- * The only OS-visible signal is osRequests()/osRequestSizes — which
- * is exactly what the attack simulator measures.
+ * The OS sees only its grants. The attack simulator reads their count
+ * (osRequests(), exported as HyperTeeSystem::osPoolGrants()); only the
+ * fleet model reads osRequestSizes, to charge a grant's latency.
+ *
+ * OsFrames is the one modelled CS OS behind every pool: the system's,
+ * the fleet model's and the tests'.
  */
 
 #ifndef HYPERTEE_EMS_MEMORY_POOL_HH
 #define HYPERTEE_EMS_MEMORY_POOL_HH
 
 #include <deque>
-#include <functional>
+#include <optional>
 #include <vector>
 
 #include "sim/random.hh"
@@ -27,17 +31,45 @@
 namespace hypertee
 {
 
+/**
+ * The untrusted CS OS's physical frame allocator. It owns the PPN
+ * range [first, end) and hands freed frames out again last-in-first-out
+ * before cutting fresh ones from the range.
+ */
+class OsFrames
+{
+  public:
+    /** The default @p end never runs dry. */
+    explicit OsFrames(Addr first, Addr end = ~Addr(0))
+        : _next(first), _end(end)
+    {
+    }
+
+    /** Up to @p n PPNs; fewer once the range is spent. */
+    std::vector<Addr> grant(std::size_t n);
+
+    /**
+     * grant(1) without the vector: host mappings take frames one at a
+     * time, between the page-table frames the mapping itself needs.
+     */
+    std::optional<Addr> grantOne();
+
+    /** Frames back from their owner (already zeroed). */
+    void take(const std::vector<Addr> &ppns);
+
+  private:
+    /** The policy: up to @p n PPNs into @p out, the most recently
+     *  taken back first, then fresh ones; returns how many. */
+    std::size_t grantInto(std::size_t n, Addr *out);
+
+    std::vector<Addr> _free;
+    Addr _next;
+    Addr _end;
+};
+
 class EnclaveMemoryPool
 {
   public:
-    /**
-     * OS page-allocation callback: returns up to @p n page PPNs
-     * (fewer when the OS is out of memory).
-     */
-    using OsAllocator = std::function<std::vector<Addr>(std::size_t n)>;
-    /** Return pages to the OS (already zeroed by the EMS). */
-    using OsReleaser = std::function<void(const std::vector<Addr> &)>;
-
     struct Params
     {
         std::size_t initialPages = 4096;  ///< 16 MiB warm pool
@@ -62,8 +94,8 @@ class EnclaveMemoryPool
         std::size_t returned = 0; ///< pages handed back to the OS
     };
 
-    EnclaveMemoryPool(OsAllocator alloc, OsReleaser release,
-                      const Params &params, std::uint64_t seed = 0x9001);
+    EnclaveMemoryPool(OsFrames &os, const Params &params,
+                      std::uint64_t seed = 0x9001);
 
     /**
      * Draw @p n pages. Refills from the OS first when the post-draw
@@ -111,8 +143,7 @@ class EnclaveMemoryPool
     void refill(std::size_t at_least);
     void rerandomizeThreshold();
 
-    OsAllocator _alloc;
-    OsReleaser _release;
+    OsFrames &_os;
     Params _p;
     Random _rng;
     std::deque<Addr> _free;

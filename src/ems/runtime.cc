@@ -14,16 +14,14 @@ namespace hypertee
 EmsRuntime::EmsRuntime(EmsPort *port, PhysicalMemory *cs_mem,
                        const KeyManager &km,
                        const EmsRuntimeParams &params,
-                       EnclaveMemoryPool::OsAllocator os_alloc,
-                       EnclaveMemoryPool::OsReleaser os_release)
+                       OsFrames &os)
     : _port(port), _csMem(cs_mem), _km(km), _p(params), _cost(params.cost),
       _engine(params.crypto, params.cryptoEnginePresent), _rng(params.seed)
 {
     panicIf(port == nullptr, "runtime needs the EMS port");
     panicIf(cs_mem == nullptr, "runtime needs CS memory");
-    _pool = std::make_unique<EnclaveMemoryPool>(
-        std::move(os_alloc), std::move(os_release), params.pool,
-        params.seed ^ 0x9e3779b9);
+    _pool = std::make_unique<EnclaveMemoryPool>(os, params.pool,
+                                                params.seed ^ 0x9e3779b9);
 }
 
 bool

@@ -65,11 +65,11 @@ class EmsRuntime
      * @param port the EMS-side iHub capability
      * @param cs_mem the CS physical memory (the same capability the
      *        port wraps; needed directly for page-table plumbing)
+     * @param os the CS OS the memory pool draws its batches from
      */
     EmsRuntime(EmsPort *port, PhysicalMemory *cs_mem,
                const KeyManager &km, const EmsRuntimeParams &params,
-               EnclaveMemoryPool::OsAllocator os_alloc,
-               EnclaveMemoryPool::OsReleaser os_release);
+               OsFrames &os);
 
     /**
      * Secure boot (Section VI): verify the runtime image and CS

@@ -120,26 +120,8 @@ class FleetChurn final : public RequestSource
     {
         fatalIf(_p.enclaveSlots == 0, "fleet sim needs enclave slots");
 
-        // Modelled OS backing store: grants recycle released frames
-        // first, then mint fresh PPNs — never exhausted, so pool pressure
-        // shows up as grant *latency*, not allocation failure.
-        auto os_alloc = [this](std::size_t n) {
-            std::vector<Addr> out;
-            out.reserve(n);
-            while (n > 0 && !_osFree.empty()) {
-                out.push_back(_osFree.back());
-                _osFree.pop_back();
-                --n;
-            }
-            for (std::size_t i = 0; i < n; ++i)
-                out.push_back(_osNextPpn++);
-            return out;
-        };
-        auto os_release = [this](const std::vector<Addr> &pages) {
-            _osFree.insert(_osFree.end(), pages.begin(), pages.end());
-        };
-        _pool = std::make_unique<EnclaveMemoryPool>(
-            os_alloc, os_release, _p.pool, shardSeed(_p.seed, 2));
+        _pool = std::make_unique<EnclaveMemoryPool>(_os, _p.pool,
+                                                    shardSeed(_p.seed, 2));
 
         // Pre-warmed fleet: the full enclave population is live before
         // the first measured request, so every load point samples steady
@@ -312,11 +294,10 @@ class FleetChurn final : public RequestSource
 
     FleetTrafficParams _p;
     EmsCostModel _cost;
+    // The modelled OS never runs dry, so pool pressure shows up as
+    // grant latency, not allocation failure.
+    OsFrames _os{0x100000};
     std::unique_ptr<EnclaveMemoryPool> _pool;
-
-    // Modelled OS backing store for the pool: a free-PPN recycler.
-    std::vector<Addr> _osFree;
-    Addr _osNextPpn = 0x100000;
 
     // Fleet state: slot -> pages held; free slots; live slot list,
     // in the order make() draws from, and each live slot's index in it

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "core/sdk.hh"
 #include "core/system.hh"
 
@@ -208,6 +210,37 @@ TEST_F(SystemTest, OsSeesOnlyPoolGrantsNotPerAllocationEvents)
     std::uint64_t grants_after = sys.osPoolGrants();
     EXPECT_LE(grants_after - grants_before, 1u)
         << "per-allocation events are concealed from the OS";
+}
+
+TEST_F(SystemTest, NoFrameIsBothHostMappedAndInThePool)
+{
+    // Host mappings on both sides of a pool refill forced by pool
+    // pressure, so the OS's grants to the two interleave.
+    sys.osMapRange(0x2000'0000, 64 * pageSize, PteRead | PteWrite);
+    std::uint64_t grants_before = sys.osPoolGrants();
+    EnclaveConfig cfg;
+    cfg.heapPages = smallSystem().ems.pool.initialPages;
+    EnclaveHandle enclave(sys, 0, cfg);
+    ASSERT_TRUE(enclave.valid());
+    ASSERT_GT(sys.osPoolGrants(), grants_before);
+    sys.osMapRange(0x3000'0000, 64 * pageSize, PteRead | PteWrite);
+
+    std::set<Addr> host;
+    for (Addr pa : sys.hostPageTable().tableFrames())
+        host.insert(pageNumber(pa));
+    sys.hostPageTable().forEachMapping(
+        [&](Addr, const WalkResult &w) { host.insert(pageNumber(w.pa)); });
+    ASSERT_GE(host.size(), 128u);
+
+    EnclaveMemoryPool &pool = sys.ems().pool();
+    std::vector<Addr> pooled = pool.allocate(pool.freePages());
+    for (Addr ppn : sys.ems().ownership().pagesOf(enclave.id()))
+        pooled.push_back(ppn);
+    for (Addr pa : sys.ems().enclavePageTable(enclave.id())->tableFrames())
+        pooled.push_back(pageNumber(pa));
+    ASSERT_GT(pooled.size(), cfg.heapPages);
+    for (Addr ppn : pooled)
+        EXPECT_EQ(host.count(ppn), 0u) << "PPN " << ppn << " granted twice";
 }
 
 TEST_F(SystemTest, CountersReflectActivity)

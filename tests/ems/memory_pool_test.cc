@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <set>
 
 #include "ems/memory_pool.hh"
@@ -11,30 +12,56 @@ namespace hypertee
 namespace
 {
 
+constexpr Addr kFirstPpn = 0x80000;
+
+TEST(OsFrames, FreedFramesComeBackLifoBeforeFreshOnes)
+{
+    OsFrames os{kFirstPpn};
+    EXPECT_EQ(os.grant(3),
+              (std::vector<Addr>{kFirstPpn, kFirstPpn + 1, kFirstPpn + 2}));
+    os.take({kFirstPpn + 1, kFirstPpn});
+    EXPECT_EQ(os.grant(3),
+              (std::vector<Addr>{kFirstPpn, kFirstPpn + 1, kFirstPpn + 3}));
+    os.take({kFirstPpn + 2});
+    EXPECT_EQ(os.grantOne(), kFirstPpn + 2);
+    EXPECT_EQ(os.grantOne(), kFirstPpn + 4);
+}
+
+TEST(OsFrames, BoundedRangeGrantsShortThenNothing)
+{
+    OsFrames os{kFirstPpn, kFirstPpn + 4};
+    EXPECT_EQ(os.grant(3).size(), 3u);
+    EXPECT_EQ(os.grant(3), std::vector<Addr>{kFirstPpn + 3});
+    EXPECT_TRUE(os.grant(1).empty());
+    EXPECT_FALSE(os.grantOne().has_value());
+}
+
+TEST(OsFrames, TakeAfterExhaustionMakesFramesGrantableAgain)
+{
+    OsFrames os{kFirstPpn, kFirstPpn + 2};
+    ASSERT_EQ(os.grant(2).size(), 2u);
+    ASSERT_TRUE(os.grant(1).empty());
+    os.take({kFirstPpn + 1});
+    EXPECT_EQ(os.grant(2), std::vector<Addr>{kFirstPpn + 1});
+    EXPECT_TRUE(os.grant(1).empty());
+}
+
 struct PoolFixture : ::testing::Test
 {
-    Addr nextPpn = 0x80000;
-    std::uint64_t osCalls = 0;
-    std::vector<Addr> returned;
+    OsFrames os{kFirstPpn};
 
-    EnclaveMemoryPool::OsAllocator
-    allocator()
+    /** Frames the pool gave back to the OS: the OS grants each of
+     *  them again before its next fresh frame. */
+    std::size_t
+    framesBackAtOs(const EnclaveMemoryPool &pool)
     {
-        return [this](std::size_t n) {
-            ++osCalls;
-            std::vector<Addr> out;
-            for (std::size_t i = 0; i < n; ++i)
-                out.push_back(nextPpn++);
-            return out;
-        };
-    }
-
-    EnclaveMemoryPool::OsReleaser
-    releaser()
-    {
-        return [this](const std::vector<Addr> &pages) {
-            returned.insert(returned.end(), pages.begin(), pages.end());
-        };
+        const std::vector<std::size_t> &sizes = pool.osRequestSizes();
+        Addr fresh = kFirstPpn + std::accumulate(sizes.begin(), sizes.end(),
+                                                 Addr(0));
+        std::size_t n = 0;
+        while (os.grantOne() != fresh)
+            ++n;
+        return n;
     }
 
     EnclaveMemoryPool::Params
@@ -51,27 +78,27 @@ struct PoolFixture : ::testing::Test
 
 TEST_F(PoolFixture, WarmPoolServesWithoutOsCalls)
 {
-    EnclaveMemoryPool pool(allocator(), releaser(), smallParams());
-    std::uint64_t calls_after_init = osCalls;
+    EnclaveMemoryPool pool(os, smallParams());
+    std::uint64_t calls_after_init = pool.osRequests();
     // Draw well under the warm size: the OS must see nothing.
     for (int i = 0; i < 10; ++i)
         EXPECT_EQ(pool.allocate(2).size(), 2u);
-    EXPECT_EQ(osCalls, calls_after_init)
+    EXPECT_EQ(pool.osRequests(), calls_after_init)
         << "allocation events concealed from the OS";
 }
 
 TEST_F(PoolFixture, RefillsWhenCrossingThreshold)
 {
-    EnclaveMemoryPool pool(allocator(), releaser(), smallParams());
-    std::uint64_t calls_after_init = osCalls;
+    EnclaveMemoryPool pool(os, smallParams());
+    std::uint64_t calls_after_init = pool.osRequests();
     // Drain enough to cross any threshold in [4, 12].
     pool.allocate(60);
-    EXPECT_GT(osCalls, calls_after_init);
+    EXPECT_GT(pool.osRequests(), calls_after_init);
 }
 
 TEST_F(PoolFixture, ThresholdRerandomizesOnRefill)
 {
-    EnclaveMemoryPool pool(allocator(), releaser(), smallParams());
+    EnclaveMemoryPool pool(os, smallParams());
     std::set<std::size_t> seen;
     for (int round = 0; round < 20; ++round) {
         seen.insert(pool.threshold());
@@ -84,7 +111,7 @@ TEST_F(PoolFixture, ThresholdRerandomizesOnRefill)
 
 TEST_F(PoolFixture, PagesAreUniqueAcrossAllocations)
 {
-    EnclaveMemoryPool pool(allocator(), releaser(), smallParams());
+    EnclaveMemoryPool pool(os, smallParams());
     std::set<Addr> seen;
     for (int i = 0; i < 30; ++i) {
         for (Addr p : pool.allocate(4)) {
@@ -95,18 +122,18 @@ TEST_F(PoolFixture, PagesAreUniqueAcrossAllocations)
 
 TEST_F(PoolFixture, ReleasedPagesAreReused)
 {
-    EnclaveMemoryPool pool(allocator(), releaser(), smallParams());
+    EnclaveMemoryPool pool(os, smallParams());
     std::vector<Addr> pages = pool.allocate(8);
     pool.release(pages);
-    std::uint64_t calls = osCalls;
+    std::uint64_t calls = pool.osRequests();
     std::vector<Addr> again = pool.allocate(8);
-    EXPECT_EQ(osCalls, calls) << "reuse needs no OS interaction";
+    EXPECT_EQ(pool.osRequests(), calls) << "reuse needs no OS interaction";
     EXPECT_EQ(again.size(), 8u);
 }
 
 TEST_F(PoolFixture, RandomTakeVariesCountAndPosition)
 {
-    EnclaveMemoryPool pool(allocator(), releaser(), smallParams());
+    EnclaveMemoryPool pool(os, smallParams());
     Random rng(7);
     std::set<std::size_t> counts;
     for (int i = 0; i < 16; ++i) {
@@ -121,40 +148,31 @@ TEST_F(PoolFixture, RandomTakeVariesCountAndPosition)
 
 TEST_F(PoolFixture, ReturnToOsShrinksPool)
 {
-    EnclaveMemoryPool pool(allocator(), releaser(), smallParams());
+    EnclaveMemoryPool pool(os, smallParams());
     std::size_t before = pool.freePages();
     pool.returnToOs(16);
     EXPECT_EQ(pool.freePages(), before - 16);
-    EXPECT_EQ(returned.size(), 16u);
+    EXPECT_EQ(framesBackAtOs(pool), 16u);
 }
 
 TEST_F(PoolFixture, ExhaustedOsYieldsEmptyAllocation)
 {
-    // An OS allocator that refuses everything after the warm-up.
-    bool first = true;
-    auto stingy = [&](std::size_t n) {
-        std::vector<Addr> out;
-        if (first) {
-            for (std::size_t i = 0; i < n; ++i)
-                out.push_back(nextPpn++);
-            first = false;
-        }
-        return out;
-    };
-    EnclaveMemoryPool pool(stingy, releaser(), smallParams());
+    // An OS with exactly the warm pool's frames.
+    OsFrames stingy{kFirstPpn, kFirstPpn + smallParams().initialPages};
+    EnclaveMemoryPool pool(stingy, smallParams());
     EXPECT_TRUE(pool.allocate(100000).empty());
 }
 
 TEST_F(PoolFixture, RebalanceDisabledIsANoOp)
 {
-    EnclaveMemoryPool pool(allocator(), releaser(), smallParams());
+    EnclaveMemoryPool pool(os, smallParams());
     std::size_t before = pool.freePages();
-    std::uint64_t calls_before = osCalls;
+    std::uint64_t calls_before = pool.osRequests();
     EnclaveMemoryPool::Rebalance moved = pool.rebalance();
     EXPECT_EQ(moved.refilled, 0u);
     EXPECT_EQ(moved.returned, 0u);
     EXPECT_EQ(pool.freePages(), before);
-    EXPECT_EQ(osCalls, calls_before);
+    EXPECT_EQ(pool.osRequests(), calls_before);
     EXPECT_EQ(pool.osReturns(), 0u);
 }
 
@@ -163,7 +181,7 @@ TEST_F(PoolFixture, RebalanceRefillsUpFromLowWatermark)
     EnclaveMemoryPool::Params p = smallParams();
     p.lowWatermark = 48;
     p.highWatermark = 512;
-    EnclaveMemoryPool pool(allocator(), releaser(), p);
+    EnclaveMemoryPool pool(os, p);
     // Drain below the low watermark without tripping the demand
     // threshold path (threshold <= 12 < 48).
     while (pool.freePages() >= p.lowWatermark - 8)
@@ -183,14 +201,14 @@ TEST_F(PoolFixture, RebalanceShedsDownToHighWatermark)
     p.initialPages = 64;
     p.lowWatermark = 8;
     p.highWatermark = 40;
-    EnclaveMemoryPool pool(allocator(), releaser(), p);
+    EnclaveMemoryPool pool(os, p);
     ASSERT_GT(pool.freePages(), p.highWatermark);
     EnclaveMemoryPool::Rebalance moved = pool.rebalance();
     EXPECT_EQ(moved.refilled, 0u);
     EXPECT_GT(moved.returned, 0u);
     EXPECT_EQ(pool.freePages(), p.highWatermark);
     EXPECT_EQ(pool.osReturns(), moved.returned);
-    EXPECT_EQ(returned.size(), moved.returned);
+    EXPECT_EQ(framesBackAtOs(pool), moved.returned);
 }
 
 TEST_F(PoolFixture, RebalanceInsideBandMovesNothing)
@@ -198,7 +216,7 @@ TEST_F(PoolFixture, RebalanceInsideBandMovesNothing)
     EnclaveMemoryPool::Params p = smallParams();
     p.lowWatermark = 16;
     p.highWatermark = 128;
-    EnclaveMemoryPool pool(allocator(), releaser(), p);
+    EnclaveMemoryPool pool(os, p);
     ASSERT_GE(pool.freePages(), p.lowWatermark);
     ASSERT_LE(pool.freePages(), p.highWatermark);
     EnclaveMemoryPool::Rebalance moved = pool.rebalance();

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "ems/runtime.hh"
 
 namespace hypertee
@@ -22,10 +24,7 @@ struct RuntimeFixture : ::testing::Test
     MemoryEncryptionEngine enc{64};
     IHub hub{&csMem, &emsMem, &bitmap, &enc};
     EmsPort &port = hub.emsPort();
-    Addr frameCursor = kCsBase + 0x100000;
-    /** While set, the OS grants the pool nothing. */
-    bool osDry = false;
-    std::size_t osGranted = 0;
+    OsFrames os{pageNumber(kCsBase + 0x100000), pageNumber(kCsBase + kCsSize)};
     std::unique_ptr<EmsRuntime> rt;
 
     void
@@ -39,19 +38,7 @@ struct RuntimeFixture : ::testing::Test
         EmsRuntimeParams params;
         params.pool.initialPages = 2048;
         params.pool.refillBatch = 512;
-        auto os_alloc = [this](std::size_t n) {
-            std::vector<Addr> out;
-            if (osDry)
-                return out;
-            osGranted += n;
-            for (std::size_t i = 0; i < n; ++i) {
-                out.push_back(pageNumber(frameCursor));
-                frameCursor += pageSize;
-            }
-            return out;
-        };
-        rt = std::make_unique<EmsRuntime>(&port, &csMem, km, params,
-                                          os_alloc, nullptr);
+        rt = std::make_unique<EmsRuntime>(&port, &csMem, km, params, os);
         Bytes image = bytesFromString("runtime");
         Bytes fw = bytesFromString("firmware");
         ASSERT_TRUE(rt->secureBoot(image, Sha256::digest(image), fw,
@@ -144,17 +131,8 @@ TEST_F(RuntimeFixture, RejectsEverythingBeforeSecureBoot)
     MemoryEncryptionEngine enc2(8);
     IHub hub2(&cs2, &ems2, &bm2, &enc2);
     EmsPort &port2 = hub2.emsPort();
-    Addr cursor = kCsBase + 0x100000;
-    EmsRuntime rt2(&port2, &cs2, KeyManager(fuse), {},
-                   [&](std::size_t n) {
-                       std::vector<Addr> out;
-                       for (std::size_t i = 0; i < n; ++i) {
-                           out.push_back(pageNumber(cursor));
-                           cursor += pageSize;
-                       }
-                       return out;
-                   },
-                   nullptr);
+    OsFrames os2{pageNumber(kCsBase + 0x100000)};
+    EmsRuntime rt2(&port2, &cs2, KeyManager(fuse), {}, os2);
     PrimitiveRequest req;
     req.op = PrimitiveOp::ECreate;
     req.mode = PrivMode::Supervisor;
@@ -173,9 +151,8 @@ TEST_F(RuntimeFixture, SecureBootRejectsTamperedImages)
     MemoryEncryptionEngine enc2(8);
     IHub hub2(&cs2, &ems2, &bm2, &enc2);
     EmsPort &port2 = hub2.emsPort();
-    EmsRuntime rt2(&port2, &cs2, KeyManager(fuse), {},
-                   [](std::size_t) { return std::vector<Addr>{}; },
-                   nullptr);
+    OsFrames os2{pageNumber(kCsBase + 0x100000)};
+    EmsRuntime rt2(&port2, &cs2, KeyManager(fuse), {}, os2);
     Bytes image = bytesFromString("runtime");
     Bytes fw = bytesFromString("firmware");
     Bytes tampered = bytesFromString("runtimeX");
@@ -477,8 +454,11 @@ TEST_F(RuntimeFixture, RejectedPrimitiveLeavesNoStateBehind)
         std::size_t osGranted;
     };
     auto snapshot = [&] {
+        const std::vector<std::size_t> &grants = rt->pool().osRequestSizes();
         Snapshot s{rt->ownership().size(), bitmap.enclavePageCount(), {},
-                   {}, {}, rt->pool().freePages(), osGranted};
+                   {}, {}, rt->pool().freePages(),
+                   std::accumulate(grants.begin(), grants.end(),
+                                   std::size_t(0))};
         for (std::uint32_t k = 1; k <= 0xffff; ++k)
             if (port.keyConfigured(static_cast<KeyId>(k)))
                 s.keys.push_back(static_cast<KeyId>(k));
@@ -522,12 +502,15 @@ TEST_F(RuntimeFixture, RejectedPrimitiveLeavesNoStateBehind)
     for (const Row &row : rows) {
         SCOPED_TRACE(row.name);
         const Snapshot before = snapshot();
-        osDry = row.osDry;
+        // A dry OS: every frame it has is held here for the call.
+        std::vector<Addr> hoard;
+        if (row.osDry)
+            hoard = os.grant(~std::size_t(0));
         EXPECT_EQ(invoke(row.op, row.mode, row.args, row.caller,
                          row.payload)
                       .status,
                   row.want);
-        osDry = false;
+        os.take(hoard);
         const Snapshot after = snapshot();
         EXPECT_EQ(after.owned, before.owned);
         EXPECT_EQ(after.bitmapPages, before.bitmapPages);

@@ -24,7 +24,7 @@ struct ShmFixture : ::testing::Test
     MemoryEncryptionEngine enc{64};
     IHub hub{&csMem, &emsMem, &bitmap, &enc};
     EmsPort &port = hub.emsPort();
-    Addr frameCursor = kCsBase + 0x100000;
+    OsFrames os{pageNumber(kCsBase + 0x100000), pageNumber(kCsBase + kCsSize)};
     std::unique_ptr<EmsRuntime> rt;
     std::uint64_t reqId = 0;
     EnclaveId sender = 0, receiver = 0, attacker = 0;
@@ -35,17 +35,8 @@ struct ShmFixture : ::testing::Test
         EFuse fuse;
         fuse.endorsementSeed = Bytes(32, 1);
         fuse.sealedKey = Bytes(32, 2);
-        rt = std::make_unique<EmsRuntime>(
-            &port, &csMem, KeyManager(fuse), EmsRuntimeParams{},
-            [this](std::size_t n) {
-                std::vector<Addr> out;
-                for (std::size_t i = 0; i < n; ++i) {
-                    out.push_back(pageNumber(frameCursor));
-                    frameCursor += pageSize;
-                }
-                return out;
-            },
-            nullptr);
+        rt = std::make_unique<EmsRuntime>(&port, &csMem, KeyManager(fuse),
+                                          EmsRuntimeParams{}, os);
         Bytes image = bytesFromString("rt"), fw = bytesFromString("fw");
         ASSERT_TRUE(rt->secureBoot(image, Sha256::digest(image), fw,
                                    Sha256::digest(fw)));
