@@ -70,10 +70,7 @@ main(int argc, char **argv)
               "flush-share"},
              14);
     for (const Row &r : rows) {
-        Tick service =
-            cost.instTime(EmsCostModel::baseInsts(r.op)) +
-            cost.perPageZeroTime(r.pages) +
-            cost.perPageMapTime(r.pages);
+        Tick service = cost.pageServiceTime(r.op, r.pages);
         Tick flush = linesTouched(r.op, r.pages) * flush_per_line;
         printRow({primitiveName(r.op), std::to_string(r.pages),
                   num(double(service) / 1e6, 1),

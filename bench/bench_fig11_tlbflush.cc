@@ -8,7 +8,8 @@
  * run plus every switch rate, since the overheads are relative to
  * that base), so the sweep fans sizes across --jobs workers with
  * byte-identical output for any job count; --stats-json carries the
- * raw per-rate tick counts.
+ * raw per-rate tick counts, TLB misses, and the flush and
+ * invalidation counts of the dTLB and the STLB.
  *
  * Paper: at most 1.81% overhead (32 MB at 400 Hz). Flushes from
  * bitmap updates are rare (16.72 per billion instructions), so the
@@ -30,24 +31,34 @@ runSize(Addr mb, const std::vector<double> &rates_hz, bool smoke)
     WorkloadProfile profile = minizProfile(Addr(mb) << 20);
     profile.instructions = smoke ? 2'000'000 : 8'000'000;
 
-    auto fresh_ticks = [&](double hz) {
+    BenchShardResult result;
+    const std::string prefix = std::to_string(mb) + "MB";
+    // One fresh system per rate; @p name is "base" or "<hz>hz".
+    auto fresh_ticks = [&](double hz, const std::string &name) {
         SystemParams p = evalSystem(true);
         p.csMemSize = 1024ULL << 20;
         p.ems.pool.initialPages = 40000;
         HyperTeeSystem sys(p);
         WorkloadRunner runner(sys);
-        return runner.runSwitching(profile, hz).ticks;
+        const RunStats run = runner.runSwitching(profile, hz);
+
+        Mmu &mmu = sys.core(0).mmu();
+        auto stat = [&](const char *metric, double value) {
+            result.stats.scalar(prefix + "." + name + metric).set(value);
+        };
+        stat("_ticks", double(run.ticks));
+        stat("_tlb_misses", double(run.tlbMisses));
+        stat("_dtlb_flushes", double(mmu.tlb().flushes()));
+        stat("_dtlb_invalidations", double(mmu.tlb().invalidations()));
+        stat("_stlb_flushes", double(mmu.stlb().flushes()));
+        stat("_stlb_invalidations", double(mmu.stlb().invalidations()));
+        return run.ticks;
     };
 
-    BenchShardResult result;
-    const std::string prefix = std::to_string(mb) + "MB";
-    Tick base = fresh_ticks(0);
-    result.stats.scalar(prefix + ".base_ticks").set(double(base));
+    Tick base = fresh_ticks(0, "base");
     std::vector<std::string> row = {prefix};
     for (double hz : rates_hz) {
-        Tick t = fresh_ticks(hz);
-        result.stats.scalar(prefix + "." + num(hz, 0) + "hz_ticks")
-            .set(double(t));
+        Tick t = fresh_ticks(hz, num(hz, 0) + "hz");
         row.push_back(pct(double(t) / double(base) - 1.0, 2));
     }
     result.rows.push_back(std::move(row));

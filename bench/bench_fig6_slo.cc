@@ -53,13 +53,9 @@ runCurve(const CurveSpec &spec, const ShardContext &ctx)
     const std::uint64_t total_allocs = 16384;
     // EMS-side service: each CS core's ECREATE (80 pages), then its
     // 2 MB EALLOCs (512 pages).
-    EmsCostModel cost(ems.cost);
-    auto service = [&](PrimitiveOp op, std::size_t pages) {
-        return cost.instTime(EmsCostModel::baseInsts(op)) +
-               cost.perPageZeroTime(pages) + cost.perPageMapTime(pages);
-    };
-    const Tick create_service = service(PrimitiveOp::ECreate, 80);
-    const Tick alloc_service = service(PrimitiveOp::EAlloc, 512);
+    const EmsCostModel cost(ems.cost);
+    const Tick create_service = cost.pageServiceTime(PrimitiveOp::ECreate, 80);
+    const Tick alloc_service = cost.pageServiceTime(PrimitiveOp::EAlloc, 512);
 
     // CS cores compute between allocations (an allocation-heavy but
     // not allocation-only workload): 10 ms + U[0, 20 ms], ~20 ms on

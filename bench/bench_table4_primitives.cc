@@ -8,8 +8,8 @@
  *
  * With --trace the run emits one EMCALL span per primitive round
  * trip; with --stats-json the per-primitive latency distributions
- * (p50/p90/p99 across the rv8 suite) are exported for regression
- * tracking.
+ * (p50/p90/p99 across the rv8 suite) and each enclave run's ticks
+ * and instructions are exported for regression tracking.
  */
 
 #include "bench/bench_util.hh"
@@ -70,6 +70,12 @@ main(int argc, char **argv)
             d_meas.sample(double(r.measLatency));
             d_enter_exit.sample(double(r.enterExitLatency));
             d_destroy.sample(double(r.destroyLatency));
+            const std::string prefix =
+                profile.name + (engine ? ".crypto" : ".noncrypto");
+            prim_stats.scalar(prefix + ".run_ticks")
+                .set(double(r.stats.ticks));
+            prim_stats.scalar(prefix + ".run_instructions")
+                .set(double(r.stats.instructions));
         };
 
         double nc_all, nc_meas, c_all, c_meas;

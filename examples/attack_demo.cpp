@@ -22,11 +22,33 @@ using namespace hypertee;
 namespace
 {
 
-void
+/**
+ * Defence verdicts, as in bench_table6_defense: an attack is open
+ * above 90% recovery and defended below 60% (50% is coin flipping).
+ */
+constexpr double openAbove = 0.9;
+constexpr double defendedBelow = 0.6;
+
+/** Print one attack's row. @return false if a reading looks broken. */
+bool
 row(const char *attack, double baseline_acc, double hypertee_acc)
 {
     std::printf("%-22s%-22.0f%-20.0f\n", attack, baseline_acc * 100,
                 hypertee_acc * 100);
+    bool ok = true;
+    if (baseline_acc <= openAbove) {
+        std::printf("  FAILED: the SGX-class attack should recover "
+                    "over %.0f%% of the bits\n",
+                    openAbove * 100);
+        ok = false;
+    }
+    if (hypertee_acc >= defendedBelow) {
+        std::printf("  FAILED: HyperTEE should hold recovery under "
+                    "%.0f%%\n",
+                    defendedBelow * 100);
+        ok = false;
+    }
+    return ok;
 }
 
 } // namespace
@@ -64,15 +86,18 @@ main()
 
     std::printf("%-22s%-22s%-20s\n", "attack",
                 "SGX-class recovery %", "HyperTEE recovery %");
-    row("allocation events",
+    bool ok = row(
+        "allocation events",
         allocationAttack(sgx_alloc, secret, 10).accuracy(secret),
         allocationAttackHyperTee(sys, victim, secret, 10)
             .accuracy(secret));
-    row("page-table A/D bits",
+    ok &= row(
+        "page-table A/D bits",
         pageTableAttack(sgx_pt, secret, 11).accuracy(secret),
         pageTableAttackHyperTee(sys, victim, secret, 11)
             .accuracy(secret));
-    row("page swapping",
+    ok &= row(
+        "page swapping",
         swapAttack(sgx_swap, secret, 12).accuracy(secret),
         swapAttackHyperTee(sys, victim, secret, 12).accuracy(secret));
 
@@ -100,10 +125,21 @@ main()
     std::printf("  1 EMS core, jitter on : %.0f%%\n",
                 timingChannelAccuracy(1, true, 10'000'000, 96, 7) *
                     100);
+    const double hypertee_timing =
+        timingChannelAccuracy(2, true, 10'000'000, 96, 7);
     std::printf("  2 EMS cores (HyperTEE): %.0f%%\n",
-                timingChannelAccuracy(2, true, 10'000'000, 96, 7) *
-                    100);
+                hypertee_timing * 100);
+    if (hypertee_timing >= defendedBelow) {
+        std::printf("  FAILED: two jittered EMS cores should hold the "
+                    "timing channel under %.0f%%\n",
+                    defendedBelow * 100);
+        ok = false;
+    }
 
+    if (!ok) {
+        std::printf("\nattack demo FAILED: a defence reads broken.\n");
+        return 1;
+    }
     std::printf("\nattack demo complete.\n");
     return 0;
 }

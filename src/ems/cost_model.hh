@@ -86,6 +86,18 @@ class EmsCostModel
         return instTime(pages * _p.perPageZero);
     }
 
+    /**
+     * Service time of a primitive that scrubs and maps (or unmaps)
+     * @p pages pages: its dispatch budget plus the per-page zero and
+     * map terms, each truncated to whole ticks on its own.
+     */
+    Tick
+    pageServiceTime(PrimitiveOp op, std::size_t pages) const
+    {
+        return instTime(baseInsts(op)) + perPageZeroTime(pages) +
+               perPageMapTime(pages);
+    }
+
   private:
     EmsCostParams _p;
 };

@@ -192,10 +192,7 @@ class FleetChurn final : public RequestSource
             _freeSlots.pop_back();
             addLive(slot);
             _peakLive = std::max<std::uint64_t>(_peakLive, _live.size());
-            service = _cost.instTime(EmsCostModel::baseInsts(
-                          PrimitiveOp::ECreate)) +
-                      _cost.perPageZeroTime(pages) +
-                      _cost.perPageMapTime(pages);
+            service = _cost.pageServiceTime(PrimitiveOp::ECreate, pages);
             std::uint64_t grants_before = _pool->osRequests();
             _slotPages[slot] = _pool->allocate(pages);
             panicIf(_slotPages[slot].size() != pages,
@@ -239,10 +236,7 @@ class FleetChurn final : public RequestSource
             _live.pop_back();
             _freeSlots.push_back(slot);
             pages = _slotPages[slot].size();
-            service = _cost.instTime(EmsCostModel::baseInsts(
-                          PrimitiveOp::EDestroy)) +
-                      _cost.perPageZeroTime(pages) +
-                      _cost.perPageMapTime(pages);
+            service = _cost.pageServiceTime(PrimitiveOp::EDestroy, pages);
             _pool->release(_slotPages[slot]);
             _slotPages[slot].clear();
             break;

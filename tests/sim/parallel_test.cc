@@ -2,17 +2,15 @@
  * @file
  * Tests for the sharded parallel simulation driver: seed splitting,
  * worker-pool dispatch, shard-ordered result collection, ShardStats
- * merging, trace shard tagging — and the headline determinism
- * contract, checked end-to-end by running every converted bench with
- * --jobs 1 and --jobs 4 and comparing output bytes.
+ * merging and trace shard tagging. The end-to-end determinism
+ * contract (every sharded bench gives the same bytes at any --jobs)
+ * is checked by the bench registry in tests/golden/golden_test.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
-#include <cstdlib>
-#include <fstream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -266,102 +264,6 @@ TEST(TraceShardTag, EventsCarryRecordingShard)
     }
     sink.setEnabled(false);
     sink.clear();
-}
-
-// ---------------------------------------------------------------
-// End-to-end: every converted bench must produce byte-identical
-// stdout and --stats-json for --jobs 1 vs --jobs 4, and two --jobs 4
-// runs must match each other. HT_BENCH_DIR points at the build
-// tree's bench binaries.
-// ---------------------------------------------------------------
-
-std::string
-readFileBytes(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    EXPECT_TRUE(in.good()) << "cannot read " << path;
-    std::ostringstream body;
-    body << in.rdbuf();
-    return body.str();
-}
-
-void
-expectJobsInvariant(const std::string &bench)
-{
-    const std::string bin = std::string(HT_BENCH_DIR) + "/" + bench;
-    if (!std::ifstream(bin).good())
-        GTEST_SKIP() << bin << " not built";
-
-    struct RunSpec
-    {
-        const char *tag;
-        const char *jobs; ///< also exercises both flag spellings
-    };
-    const std::vector<RunSpec> runs = {{"j1", "--jobs=1"},
-                                       {"j4", "--jobs 4"},
-                                       {"j4b", "--jobs=4"},
-                                       {"j8", "--jobs=8"}};
-
-    std::vector<std::string> stdouts, jsons;
-    for (const RunSpec &run : runs) {
-        const std::string base =
-            ::testing::TempDir() + bench + "_" + run.tag;
-        const std::string cmd = bin + " --smoke --seed=42 " +
-                                run.jobs + " --stats-json=" + base +
-                                ".json > " + base + ".out 2>&1";
-        ASSERT_EQ(std::system(cmd.c_str()), 0) << cmd;
-        stdouts.push_back(readFileBytes(base + ".out"));
-        jsons.push_back(readFileBytes(base + ".json"));
-    }
-    EXPECT_EQ(stdouts[0], stdouts[1]) << bench << " stdout j1 vs j4";
-    EXPECT_EQ(stdouts[1], stdouts[2]) << bench << " stdout j4 vs j4";
-    EXPECT_EQ(stdouts[0], stdouts[3]) << bench << " stdout j1 vs j8";
-    EXPECT_EQ(jsons[0], jsons[1]) << bench << " json j1 vs j4";
-    EXPECT_EQ(jsons[1], jsons[2]) << bench << " json j4 vs j4";
-    EXPECT_EQ(jsons[0], jsons[3]) << bench << " json j1 vs j8";
-    EXPECT_FALSE(jsons[0].empty());
-}
-
-TEST(BenchDeterminism, Fig6Slo) { expectJobsInvariant("bench_fig6_slo"); }
-
-TEST(BenchDeterminism, Fig7EmsConfig)
-{
-    expectJobsInvariant("bench_fig7_ems_config");
-}
-
-TEST(BenchDeterminism, Fig8aAlloc)
-{
-    expectJobsInvariant("bench_fig8a_alloc");
-}
-
-TEST(BenchDeterminism, Fig10Bitmap)
-{
-    expectJobsInvariant("bench_fig10_bitmap");
-}
-
-TEST(BenchDeterminism, Fig12Comm)
-{
-    expectJobsInvariant("bench_fig12_comm");
-}
-
-TEST(BenchDeterminism, Fig8bMemstream)
-{
-    expectJobsInvariant("bench_fig8b_memstream");
-}
-
-TEST(BenchDeterminism, Fig9WolfsslMm)
-{
-    expectJobsInvariant("bench_fig9_wolfssl_mm");
-}
-
-TEST(BenchDeterminism, Fig11TlbFlush)
-{
-    expectJobsInvariant("bench_fig11_tlbflush");
-}
-
-TEST(BenchDeterminism, FleetSlo)
-{
-    expectJobsInvariant("bench_fleet_slo");
 }
 
 } // namespace
