@@ -15,7 +15,6 @@
 
 #include "attack/controlled_channel.hh"
 #include "bench/bench_util.hh"
-#include "core/sdk.hh"
 
 using namespace hypertee;
 
@@ -23,19 +22,16 @@ namespace
 {
 
 /**
- * Run the attack against a measured one-page victim, then repeated
- * 4-page EALLOC/EFREE pairs, with the normal warm pool (@p warm) or
- * the pass-through pool, on a fresh system. Prints the mode's row
- * and adds its stats to @p stats.
+ * Run the attack against HyperTeeOsView's measured one-page victim,
+ * then repeated 4-page EALLOC/EFREE pairs, with the normal warm pool
+ * (@p warm) or the pass-through pool, on a fresh system. Prints the
+ * mode's row and adds its stats to @p stats.
  */
 void
 runWithPool(bool warm, bool smoke, ShardStats &stats)
 {
-    SystemParams p;
-    p.csMemSize = 256ULL * 1024 * 1024;
-    p.csCoreCount = 1;
+    SystemParams p = HyperTeeOsView::defaultParams();
     if (warm) {
-        p.ems.pool.initialPages = 8192;
         p.ems.pool.refillBatch = 2048;
     } else {
         // Degenerate pool: every draw goes to the OS.
@@ -44,16 +40,14 @@ runWithPool(bool warm, bool smoke, ShardStats &stats)
         p.ems.pool.minThreshold = 0;
         p.ems.pool.maxThreshold = 0;
     }
-    HyperTeeSystem sys(p);
-    EnclaveHandle victim(sys, 0, EnclaveConfig{});
-    victim.addImage(Bytes(pageSize, 0x42), EnclaveLayout::codeBase,
-                    PteRead | PteExec);
-    victim.measure();
+    HyperTeeOsView view(p);
+    HyperTeeSystem &sys = view.system();
+    EnclaveHandle &victim = view.victim();
 
     const std::vector<bool> secret = randomSecret(smoke ? 32 : 128, 77);
     const std::uint64_t grants_before = sys.osPoolGrants();
-    const AttackOutcome attack =
-        allocationAttackHyperTee(sys, victim, secret, 78);
+    const AttackOutcome attack = allocationAttack(view, secret);
+    view.hostContext();
 
     // Latency probe.
     victim.enter();
@@ -67,11 +61,9 @@ runWithPool(bool warm, bool smoke, ShardStats &stats)
     victim.exit();
     const std::uint64_t os_grants = sys.osPoolGrants() - grants_before;
 
-    std::uint64_t correct = 0;
-    for (std::size_t i = 0; i < secret.size(); ++i)
-        correct += attack.recovered.at(i) == secret[i];
     const std::string prefix = warm ? "warm" : "passthrough";
-    stats.scalar(prefix + ".correct_bits").set(double(correct));
+    stats.scalar(prefix + ".correct_bits")
+        .set(double(attack.correctBits(secret)));
     stats.scalar(prefix + ".os_grants").set(double(os_grants));
     stats.scalar(prefix + ".ealloc_ticks").set(double(alloc_ticks));
 

@@ -1,6 +1,8 @@
 #include "attack/controlled_channel.hh"
 
 #include <algorithm>
+#include <cstdio>
+#include <utility>
 
 #include "emcall/emcall.hh"
 #include "sim/logging.hh"
@@ -9,18 +11,29 @@
 namespace hypertee
 {
 
+std::size_t
+AttackOutcome::observedRounds() const
+{
+    return rounds.size() -
+           std::size_t(std::count(rounds.begin(), rounds.end(), std::nullopt));
+}
+
+std::size_t
+AttackOutcome::correctBits(const std::vector<bool> &secret) const
+{
+    panicIf(rounds.size() != secret.size(),
+            "attack outcome size mismatch");
+    std::size_t correct = 0;
+    for (std::size_t i = 0; i < secret.size(); ++i)
+        correct += rounds[i] == secret[i];
+    return correct;
+}
+
 double
 AttackOutcome::accuracy(const std::vector<bool> &secret) const
 {
-    panicIf(recovered.size() != secret.size(),
-            "attack outcome size mismatch");
-    if (secret.empty())
-        return 0.0;
-    std::size_t correct = 0;
-    for (std::size_t i = 0; i < secret.size(); ++i)
-        correct += (recovered[i] == secret[i]);
-    return static_cast<double>(correct) /
-           static_cast<double>(secret.size());
+    const std::size_t observed = observedRounds();
+    return observed ? double(correctBits(secret)) / double(observed) : 0.0;
 }
 
 std::vector<bool>
@@ -33,179 +46,239 @@ randomSecret(std::size_t bits, std::uint64_t seed)
     return secret;
 }
 
-// --------------------------------------------------------- baseline side
+// ---------------------------------------------------------------- attacks
 
 AttackOutcome
-allocationAttack(BaselineOsManager &mgr, const std::vector<bool> &secret,
-                 std::uint64_t seed)
+allocationAttack(OsView &os, const std::vector<bool> &secret)
 {
-    (void)seed;
     AttackOutcome out;
     const Addr base = 0x5000'0000;
     for (std::size_t i = 0; i < secret.size(); ++i) {
         // Victim: allocates a fresh page only on 1-bits (e.g. a
         // secret-dependent buffer in a library call).
         if (secret[i])
-            mgr.victimAllocate(base + i * pageSize);
+            os.victimAllocate(base + i * pageSize);
         // Attacker: did an allocation event arrive this round?
-        out.recovered.push_back(!mgr.drainAllocationEvents().empty());
+        out.rounds.push_back(os.drainAllocationEvents() > 0);
     }
     return out;
 }
 
 AttackOutcome
-pageTableAttack(BaselineOsManager &mgr, const std::vector<bool> &secret,
-                std::uint64_t seed)
+pageTableAttack(OsView &os, const std::vector<bool> &secret)
 {
     AttackOutcome out;
-    Random rng(seed);
     const Addr page_a = 0x6000'0000, page_b = 0x6000'1000;
-    mgr.victimAllocate(page_a);
-    mgr.victimAllocate(page_b);
-    mgr.drainAllocationEvents();
+    os.victimAllocate(page_a);
+    os.victimAllocate(page_b);
+    os.drainAllocationEvents();
 
     for (bool bit : secret) {
-        bool can_clear = mgr.clearAccessedBits();
+        bool can_clear = os.clearAccessedBit(page_a);
         // Victim: touches A on 1-bits, B on 0-bits.
-        mgr.victimTouch(bit ? page_a : page_b, false);
+        os.victimTouch(bit ? page_a : page_b);
         bool a_bit = false;
-        bool can_read = mgr.readAccessedBit(page_a, a_bit);
-        if (can_clear && can_read) {
-            out.recovered.push_back(a_bit);
-        } else {
-            ++out.blockedObservations;
-            out.recovered.push_back(rng.chance(0.5)); // blind guess
-        }
+        bool can_read = os.readAccessedBit(page_a, a_bit);
+        out.rounds.push_back(can_clear && can_read
+                                 ? std::optional<bool>(a_bit)
+                                 : std::nullopt);
     }
     return out;
 }
 
 AttackOutcome
-swapAttack(BaselineOsManager &mgr, const std::vector<bool> &secret,
-           std::uint64_t seed)
+swapAttack(OsView &os, const std::vector<bool> &secret)
 {
     AttackOutcome out;
-    Random rng(seed);
     const Addr page_a = 0x7000'0000, page_b = 0x7000'1000;
-    mgr.victimAllocate(page_a);
-    mgr.victimAllocate(page_b);
-    mgr.drainAllocationEvents();
-    mgr.drainFaultEvents();
+    os.victimAllocate(page_a);
+    os.victimAllocate(page_b);
+    os.drainAllocationEvents();
+    os.drainFaultEvents();
 
     for (bool bit : secret) {
         // Attacker: swap out both candidate pages.
-        bool could_evict =
-            mgr.evictPage(page_a) && mgr.evictPage(page_b);
+        bool could_evict = os.evictPage(page_a) && os.evictPage(page_b);
         // Victim: touches the secret-selected page, faulting it in.
-        mgr.victimTouch(bit ? page_a : page_b, false);
-        std::vector<Addr> faults = mgr.drainFaultEvents();
-        if (could_evict && !faults.empty()) {
-            out.recovered.push_back(faults.front() == page_a);
-        } else {
-            ++out.blockedObservations;
-            out.recovered.push_back(rng.chance(0.5));
-        }
+        os.victimTouch(bit ? page_a : page_b);
+        std::vector<Addr> faults = os.drainFaultEvents();
+        out.rounds.push_back(could_evict && !faults.empty()
+                                 ? std::optional<bool>(faults.front() ==
+                                                       page_a)
+                                 : std::nullopt);
     }
     return out;
 }
 
-// --------------------------------------------------------- HyperTEE side
+// ------------------------------------------------------- HyperTEE's OS
 
-AttackOutcome
-allocationAttackHyperTee(HyperTeeSystem &sys, EnclaveHandle &victim,
-                         const std::vector<bool> &secret,
-                         std::uint64_t seed)
+SystemParams
+HyperTeeOsView::defaultParams()
 {
-    (void)seed;
-    AttackOutcome out;
-    // EALLOC carries the gate-tracked identity: the victim must be
-    // the active context while it allocates.
-    bool entered = !sys.emCall(0).inEnclave() && victim.enter();
-    for (bool bit : secret) {
-        std::uint64_t grants_before = sys.osPoolGrants();
-        if (bit) {
-            Addr va = victim.alloc(1);
-            panicIf(va == 0, "victim EALLOC failed");
-        }
-        // All the OS can observe: did the pool ask it for memory?
-        out.recovered.push_back(sys.osPoolGrants() > grants_before);
-    }
-    if (entered)
-        victim.exit();
-    return out;
+    SystemParams p;
+    p.csMemSize = 256ULL * 1024 * 1024;
+    p.csCoreCount = 1;
+    p.ems.pool.initialPages = 8192;
+    return p;
 }
 
-AttackOutcome
-pageTableAttackHyperTee(HyperTeeSystem &sys, EnclaveHandle &victim,
-                        const std::vector<bool> &secret,
-                        std::uint64_t seed)
+HyperTeeOsView::HyperTeeOsView(const SystemParams &params)
+    : _sys(params), _victim(_sys, 0, EnclaveConfig{})
 {
-    AttackOutcome out;
-    Random rng(seed);
+    _victim.addImage(Bytes(pageSize, 0x42), EnclaveLayout::codeBase,
+                     PteRead | PteExec);
+    _victim.measure();
+    _grantsSeen = _sys.osPoolGrants();
+}
 
-    // The attacker-OS locates the victim's page-table frames (it
-    // allocated the physical memory, after all) and maps them into
-    // its own address space to scrape A/D bits.
-    const PageTable *victim_pt = sys.ems().enclavePageTable(victim.id());
-    panicIf(victim_pt == nullptr, "victim has no page table");
-    Addr pt_frame = victim_pt->tableFrames().front();
+void
+HyperTeeOsView::hostContext()
+{
+    if (_sys.emCall(0).inEnclave() && !_victim.exit())
+        panic("victim EEXIT failed");
+}
 
+void
+HyperTeeOsView::victimContext()
+{
+    // Entered lazily and left only for an attacker step, so
+    // consecutive victim steps share one EENTER.
+    if (!_sys.emCall(0).inEnclave() && !_victim.enter())
+        panic("victim EENTER failed");
+}
+
+void
+HyperTeeOsView::victimAllocate(Addr va)
+{
+    victimContext();
+    panicIf(_victim.allocAt(va, 1) == 0, "victim EALLOC failed");
+}
+
+void
+HyperTeeOsView::victimTouch(Addr va)
+{
+    victimContext();
+    // A faulting access is shown to the OS only if the gate routes
+    // the page fault to it.
+    if (_sys.core(0).mmu().translate(va, false, false).fault !=
+            MemFault::None &&
+        _sys.emCall(0).asyncExit(ExcCause::PageFault, va) ==
+            ExcRoute::ToCsOs)
+        _faults.push_back(pageAlign(va));
+}
+
+std::size_t
+HyperTeeOsView::drainAllocationEvents()
+{
+    // All the OS sees of an EALLOC: the pool asking it for memory.
+    const std::uint64_t grants = _sys.osPoolGrants();
+    return std::size_t(grants - std::exchange(_grantsSeen, grants));
+}
+
+std::optional<Addr>
+HyperTeeOsView::hostPte(Addr va, bool write)
+{
+    // The OS handed out the physical memory, so it can name the frame
+    // holding va's leaf PTE and map it into its own address space.
+    hostContext();
+    const Addr pte = victimTable().walk(va).pteAddr;
     const Addr probe_va = 0x7777'0000;
-    sys.hostPageTable().map(probe_va, pt_frame,
-                            PteRead | PteWrite | PteUser);
-
-    for (bool bit : secret) {
-        (void)bit; // the victim's behaviour is irrelevant: the
-                   // attacker never gets a reading at all.
-        TranslateResult tr =
-            sys.core(0).mmu().translate(probe_va, false, false);
-        if (tr.fault != MemFault::None) {
-            ++out.blockedObservations;
-            out.recovered.push_back(rng.chance(0.5));
-        } else {
-            // Would read the PTE here; never reached under HyperTEE.
-            out.recovered.push_back(true);
-        }
-        sys.core(0).mmu().tlb().flushAll();
-    }
-    return out;
+    PageTable &host = _sys.hostPageTable();
+    host.unmap(probe_va);
+    host.map(probe_va, pageAlign(pte), PteRead | PteWrite | PteUser);
+    Mmu &mmu = _sys.core(0).mmu();
+    mmu.flushTlbs();
+    TranslateResult tr =
+        mmu.translate(probe_va + (pte & (pageSize - 1)), write, false);
+    if (tr.fault != MemFault::None)
+        return std::nullopt;
+    return tr.pa;
 }
 
-AttackOutcome
-swapAttackHyperTee(HyperTeeSystem &sys, EnclaveHandle &victim,
-                   const std::vector<bool> &secret, std::uint64_t seed)
+bool
+HyperTeeOsView::clearAccessedBit(Addr va)
 {
-    AttackOutcome out;
-    Random rng(seed);
-    panicIf(sys.ems().enclave(victim.id()) == nullptr,
-            "no victim control structure");
-    const PageOwnershipTable &owners = sys.ems().ownership();
+    // The walker model sets no A/D bits, so a granted clear changes
+    // nothing; the bitmap check refuses it before that matters.
+    std::optional<Addr> pte = hostPte(va, true);
+    if (pte)
+        _sys.csMem().write64(*pte,
+                             _sys.csMem().read64(*pte) & ~PteAccessed);
+    return pte.has_value();
+}
 
-    for (bool bit : secret) {
-        (void)bit;
-        // Attacker-OS requests a swap-out, hoping to hit the
-        // victim's working set.
-        InvokeResult r = sys.emCall(0).invoke(
-            PrimitiveOp::EWb, PrivMode::Supervisor, {2});
-        bool hit_victim = false;
-        if (r.accepted && r.response.status == PrimStatus::Ok) {
-            for (std::size_t i = 1; i < r.response.results.size();
-                 ++i) {
-                const PageOwner *owner =
-                    owners.lookup(pageNumber(r.response.results[i]));
-                hit_victim |= owner && owner->owner == victim.id() &&
-                              owner->kind == PageKind::Private;
-            }
-        }
-        if (!hit_victim) {
-            // No victim page was evicted: no fault to observe.
-            ++out.blockedObservations;
-            out.recovered.push_back(rng.chance(0.5));
-        } else {
-            out.recovered.push_back(true);
-        }
-    }
-    return out;
+bool
+HyperTeeOsView::readAccessedBit(Addr va, bool &value)
+{
+    std::optional<Addr> pte = hostPte(va, false);
+    if (!pte)
+        return false;
+    value = _sys.csMem().read64(*pte) & PteAccessed;
+    return true;
+}
+
+bool
+HyperTeeOsView::evictPage(Addr va)
+{
+    // EWB names no page: the EMS picks the frames. The attacker's
+    // eviction happened only if it picked the one backing va.
+    hostContext();
+    InvokeResult r = _sys.emCall(0).invoke(PrimitiveOp::EWb,
+                                           PrivMode::Supervisor, {1});
+    if (!r.accepted || r.response.status != PrimStatus::Ok)
+        return false;
+    const std::vector<std::uint64_t> &evicted = r.response.results;
+    return std::find(evicted.begin() + 1, evicted.end(),
+                     pageAlign(victimTable().walk(va).pa)) !=
+           evicted.end();
+}
+
+std::vector<Addr>
+HyperTeeOsView::drainFaultEvents()
+{
+    return std::exchange(_faults, {});
+}
+
+std::unique_ptr<OsView>
+makeOsView(TeeModel model)
+{
+    if (model == TeeModel::HyperTee)
+        return std::make_unique<HyperTeeOsView>();
+    return std::make_unique<BaselineOsManager>(model);
+}
+
+// --------------------------------------------------------------- verdicts
+
+Verdict
+verdictOf(double accuracy)
+{
+    if (accuracy > 0.9)
+        return Verdict::Open;
+    if (accuracy < 0.6)
+        return Verdict::Defended;
+    return Verdict::Partial;
+}
+
+Verdict
+verdictOf(const AttackOutcome &outcome, const std::vector<bool> &secret)
+{
+    if (outcome.observedRounds() == 0)
+        return Verdict::Defended;
+    return verdictOf(outcome.accuracy(secret));
+}
+
+std::string
+verdictCell(const AttackOutcome &outcome, const std::vector<bool> &secret)
+{
+    static const char *const names[] = {"open", "partial", "DEFENDED"};
+    std::string cell =
+        names[static_cast<std::size_t>(verdictOf(outcome, secret))];
+    if (outcome.observedRounds() == 0)
+        return cell + " (refused)";
+    char pct[16];
+    std::snprintf(pct, sizeof(pct), " (%.0f%%)",
+                  outcome.accuracy(secret) * 100.0);
+    return cell + pct;
 }
 
 double

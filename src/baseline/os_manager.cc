@@ -1,43 +1,38 @@
 #include "baseline/os_manager.hh"
 
+#include <utility>
+
 namespace hypertee
 {
 
-BaselineOsManager::BaselineOsManager(TeeModel model, std::uint64_t seed)
-    : _model(model), _exposure(exposureOf(model)), _rng(seed)
+BaselineOsManager::BaselineOsManager(TeeModel model)
+    : _exposure(exposureOf(model))
 {
 }
 
 void
 BaselineOsManager::victimAllocate(Addr va)
 {
-    Addr page = pageAlign(va);
-    _resident.insert(page);
-    _accessed[page] = false;
+    _accessed[pageAlign(va)] = false;
     if (_exposure.allocationEventsVisible)
-        _allocationEvents.push_back(page);
+        ++_allocationEvents;
 }
 
 void
-BaselineOsManager::victimTouch(Addr va, bool write)
+BaselineOsManager::victimTouch(Addr va)
 {
-    (void)write;
-    Addr page = pageAlign(va);
-    if (!_resident.count(page)) {
-        // Page fault: swap-in, visible to the OS that owns paging.
-        _resident.insert(page);
-        if (_exposure.swapVictimsAttackerChosen)
-            _faultEvents.push_back(page);
-    }
-    _accessed[page] = true;
+    // A non-resident page faults: a swap-in, visible to the OS that
+    // owns paging.
+    auto [it, faulted] = _accessed.try_emplace(pageAlign(va), true);
+    if (faulted && _exposure.swapVictimsAttackerChosen)
+        _faultEvents.push_back(it->first);
+    it->second = true;
 }
 
-std::vector<Addr>
+std::size_t
 BaselineOsManager::drainAllocationEvents()
 {
-    std::vector<Addr> out;
-    out.swap(_allocationEvents);
-    return out;
+    return std::exchange(_allocationEvents, 0);
 }
 
 bool
@@ -51,12 +46,12 @@ BaselineOsManager::readAccessedBit(Addr va, bool &value)
 }
 
 bool
-BaselineOsManager::clearAccessedBits()
+BaselineOsManager::clearAccessedBit(Addr va)
 {
     if (!_exposure.pageTablesAttackerManaged)
         return false;
-    for (auto &[page, bit] : _accessed)
-        bit = false;
+    if (auto it = _accessed.find(pageAlign(va)); it != _accessed.end())
+        it->second = false;
     return true;
 }
 
@@ -65,16 +60,14 @@ BaselineOsManager::evictPage(Addr va)
 {
     if (!_exposure.swapVictimsAttackerChosen)
         return false; // EMS (or enclave) chooses swap pages instead
-    _resident.erase(pageAlign(va));
+    _accessed.erase(pageAlign(va));
     return true;
 }
 
 std::vector<Addr>
 BaselineOsManager::drainFaultEvents()
 {
-    std::vector<Addr> out;
-    out.swap(_faultEvents);
-    return out;
+    return std::exchange(_faultEvents, {});
 }
 
 } // namespace hypertee

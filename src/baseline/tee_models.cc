@@ -1,96 +1,91 @@
 #include "baseline/tee_models.hh"
 
+#include <algorithm>
+#include <iterator>
+
 namespace hypertee
 {
+
+namespace
+{
+
+struct TeeRow
+{
+    TeeModel model;
+    const char *name;
+    ManagementExposure exposure; ///< only the closed channels named
+};
+
+/** In allTeeModels() order. */
+constexpr TeeRow teeRows[] = {
+    // Untrusted OS performs all management (Table VI row 1).
+    {TeeModel::Sgx, "SGX", {}},
+    // Hypervisor manages nested page tables; PSP handles only
+    // crypto/attestation and holds the keys off-core.
+    {TeeModel::Sev, "SEV", {.mgmtPartiallyIsolated = true}},
+    // TDX module owns the secure EPT: page-table attacks are
+    // defeated, but allocation and swapping remain hypervisor-
+    // visible, and the module shares the cores.
+    {TeeModel::Tdx, "TDX", {.pageTablesAttackerManaged = false}},
+    // RMM owns stage-2 tables; delegation events stay visible.
+    {TeeModel::Cca, "CCA", {.pageTablesAttackerManaged = false}},
+    // Static carve-out: no paging at all, so no paging channels;
+    // no managed sharing, and the secure world shares the cores.
+    {TeeModel::TrustZone, "TrustZone",
+     {.allocationEventsVisible = false,
+      .pageTablesAttackerManaged = false,
+      .swapVictimsAttackerChosen = false,
+      .mgmtPartiallyIsolated = true}},
+    // Enclave self-paging inside a static PMP region: paging
+    // channels closed, communication unmanaged; SM in M-mode on the
+    // same core.
+    {TeeModel::Keystone, "Keystone",
+     {.allocationEventsVisible = false,
+      .pageTablesAttackerManaged = false,
+      .swapVictimsAttackerChosen = false,
+      .mgmtPartiallyIsolated = true}},
+    // Guarded page tables defeat PT attacks; the host still
+    // observes allocation/swapping of the page pool.
+    {TeeModel::Penglai, "Penglai",
+     {.pageTablesAttackerManaged = false, .mgmtPartiallyIsolated = true}},
+    {TeeModel::Cure, "CURE",
+     {.pageTablesAttackerManaged = false, .mgmtPartiallyIsolated = true}},
+    {TeeModel::HyperTee, "HyperTEE",
+     {.allocationEventsVisible = false,
+      .pageTablesAttackerManaged = false,
+      .swapVictimsAttackerChosen = false,
+      .communicationUnmanaged = false,
+      .mgmtSharesMicroarchitecture = false}},
+};
+
+const TeeRow &
+rowOf(TeeModel model)
+{
+    return *std::find_if(std::begin(teeRows), std::end(teeRows),
+                         [&](const TeeRow &r) { return r.model == model; });
+}
+
+} // namespace
 
 ManagementExposure
 exposureOf(TeeModel model)
 {
-    ManagementExposure e;
-    switch (model) {
-      case TeeModel::Sgx:
-        // Untrusted OS performs all management (Table VI row 1).
-        break;
-      case TeeModel::Sev:
-        // Hypervisor manages nested page tables; PSP handles only
-        // crypto/attestation. Communication partially protected by
-        // ASID key separation.
-        e.communicationUnmanaged = true;
-        e.mgmtPartiallyIsolated = true; // PSP holds keys off-core
-        break;
-      case TeeModel::Tdx:
-        // TDX module owns the secure EPT: page-table attacks are
-        // defeated, but allocation and swapping remain hypervisor-
-        // visible, and the module shares the cores.
-        e.pageTablesAttackerManaged = false;
-        break;
-      case TeeModel::Cca:
-        // RMM owns stage-2 tables; delegation events stay visible.
-        e.pageTablesAttackerManaged = false;
-        break;
-      case TeeModel::TrustZone:
-        // Static carve-out: no paging at all, so no paging channels;
-        // no managed sharing, and the secure world shares the cores.
-        e.allocationEventsVisible = false;
-        e.pageTablesAttackerManaged = false;
-        e.swapVictimsAttackerChosen = false;
-        e.mgmtPartiallyIsolated = true;
-        break;
-      case TeeModel::Keystone:
-        // Enclave self-paging inside a static PMP region: paging
-        // channels closed, communication unmanaged.
-        e.allocationEventsVisible = false;
-        e.pageTablesAttackerManaged = false;
-        e.swapVictimsAttackerChosen = false;
-        e.mgmtPartiallyIsolated = true; // SM in M-mode, same core
-        break;
-      case TeeModel::Penglai:
-        // Guarded page tables defeat PT attacks; the host still
-        // observes allocation/swapping of the page pool.
-        e.pageTablesAttackerManaged = false;
-        e.mgmtPartiallyIsolated = true;
-        break;
-      case TeeModel::Cure:
-        e.pageTablesAttackerManaged = false;
-        e.mgmtPartiallyIsolated = true;
-        break;
-      case TeeModel::HyperTee:
-        e.allocationEventsVisible = false;
-        e.pageTablesAttackerManaged = false;
-        e.swapVictimsAttackerChosen = false;
-        e.communicationUnmanaged = false;
-        e.mgmtSharesMicroarchitecture = false;
-        break;
-    }
-    if (model == TeeModel::HyperTee)
-        e.mgmtSharesMicroarchitecture = false;
-    return e;
+    return rowOf(model).exposure;
 }
 
 const char *
 teeName(TeeModel model)
 {
-    switch (model) {
-      case TeeModel::Sgx: return "SGX";
-      case TeeModel::Sev: return "SEV";
-      case TeeModel::Tdx: return "TDX";
-      case TeeModel::Cca: return "CCA";
-      case TeeModel::TrustZone: return "TrustZone";
-      case TeeModel::Keystone: return "Keystone";
-      case TeeModel::Penglai: return "Penglai";
-      case TeeModel::Cure: return "CURE";
-      case TeeModel::HyperTee: return "HyperTEE";
-    }
-    return "?";
+    return rowOf(model).name;
 }
 
 std::vector<TeeModel>
 allTeeModels()
 {
-    return {TeeModel::Sgx,      TeeModel::Sev,     TeeModel::Tdx,
-            TeeModel::Cca,      TeeModel::TrustZone,
-            TeeModel::Keystone, TeeModel::Penglai, TeeModel::Cure,
-            TeeModel::HyperTee};
+    std::vector<TeeModel> models;
+    for (const TeeRow &row : teeRows)
+        models.push_back(row.model);
+    return models;
 }
 
 } // namespace hypertee

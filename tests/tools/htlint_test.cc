@@ -530,13 +530,6 @@ TEST(HtlintNoRawOwningNew, FlagsFreeFunctionNew)
     EXPECT_EQ(countRule(diags, "no-raw-owning-new"), 1);
 }
 
-TEST(HtlintNoRawOwningNew, AcceptsSimObjectFactoryCtor)
-{
-    auto diags =
-        lintAs({{"raw_new_good.cc", "src/core/raw_new_good.cc"}});
-    EXPECT_EQ(countRule(diags, "no-raw-owning-new"), 0);
-}
-
 TEST(HtlintHeaderHygiene, FlagsMissingGuardAndUsingNamespace)
 {
     auto diags = lintAs({{"header_bad.hh", "src/core/header_bad.hh"}});

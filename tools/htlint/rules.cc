@@ -672,7 +672,7 @@ checkNoWallclock(const SourceFile &f, const Project &,
 // ------------------------------------------------------ no-raw-owning-new
 
 void
-checkNoRawOwningNew(const SourceFile &f, const Project &proj,
+checkNoRawOwningNew(const SourceFile &f, const Project &,
                     std::vector<Diagnostic> &out)
 {
     if (!inSrcOrBench(f))
@@ -687,19 +687,9 @@ checkNoRawOwningNew(const SourceFile &f, const Project &proj,
                       toks[i - 1].text == "->" ||
                       toks[i - 1].text == "::"))
             continue; // member/qualified name, not the operator
-        int fb = f.enclosingFunction(i);
-        if (fb >= 0) {
-            const Block &blk =
-                f.blocks()[static_cast<std::size_t>(fb)];
-            bool is_ctor = !blk.className.empty() &&
-                           blk.name == blk.className;
-            if (is_ctor &&
-                proj.derivesFrom(blk.className, "SimObject"))
-                continue;
-        }
         report(out, f, t.line, "no-raw-owning-new",
-               "raw 'new' outside a SimObject factory constructor "
-               "-- use std::make_unique or a container");
+               "raw owning 'new' -- use std::make_unique or a "
+               "container");
     }
 }
 
@@ -1007,8 +997,8 @@ allRules()
          "sim/random.hh",
          &checkNoWallclock},
         {"no-raw-owning-new",
-         "no raw owning 'new' outside SimObject factory "
-         "constructors",
+         "no raw owning 'new' in src/ or bench/ -- use "
+         "std::make_unique or a container",
          &checkNoRawOwningNew},
         {"header-hygiene",
          "headers need an include guard and must not contain "
