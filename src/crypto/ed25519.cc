@@ -159,44 +159,38 @@ scIsCanonical(const std::uint8_t le_bytes[32])
     return false; // S == L
 }
 
-struct ExpandedKey
-{
-    std::uint8_t scalar[32]; // clamped secret scalar a
-    std::uint8_t prefix[32]; // RFC 8032 nonce prefix
-    std::uint8_t publicKey[32];
-};
-
-ExpandedKey
-expandSeed(const Bytes &seed)
-{
-    fatalIf(seed.size() != 32, "ed25519 seed must be 32 bytes");
-    ExpandedKey k;
-    Bytes h = Sha512::digest(seed);
-    std::memcpy(k.scalar, h.data(), 32);
-    std::memcpy(k.prefix, h.data() + 32, 32);
-    k.scalar[0] &= 248;
-    k.scalar[31] &= 63;
-    k.scalar[31] |= 64;
-    geCompress(k.publicKey, geScalarMultBase(k.scalar));
-    return k;
-}
-
 } // namespace
 
-Bytes
-ed25519PublicKey(const Bytes &seed)
+Ed25519Key::Ed25519Key(const Bytes &seed)
 {
-    ExpandedKey k = expandSeed(seed);
-    return Bytes(k.publicKey, k.publicKey + 32);
+    fatalIf(seed.size() != 32, "ed25519 seed must be 32 bytes");
+    Bytes h = Sha512::digest(seed);
+    std::memcpy(_scalar, h.data(), 32);
+    std::memcpy(_prefix, h.data() + 32, 32);
+    secureWipe(h);
+    _scalar[0] &= 248;
+    _scalar[31] &= 63;
+    _scalar[31] |= 64;
+    geCompress(_publicKey, geScalarMultBase(_scalar));
+}
+
+Ed25519Key::~Ed25519Key()
+{
+    secureWipe(_scalar, sizeof(_scalar));
+    secureWipe(_prefix, sizeof(_prefix));
 }
 
 Bytes
-ed25519Sign(const Bytes &seed, const Bytes &message)
+ed25519PublicKey(const Ed25519Key &key)
 {
-    ExpandedKey k = expandSeed(seed);
+    return Bytes(key._publicKey, key._publicKey + 32);
+}
 
+Bytes
+ed25519Sign(const Ed25519Key &key, const Bytes &message)
+{
     Sha512 hr;
-    hr.update(k.prefix, 32);
+    hr.update(key._prefix, 32);
     hr.update(message);
     auto r_hash = hr.finish();
     U256 r = scReduce64(r_hash.data());
@@ -208,18 +202,30 @@ ed25519Sign(const Bytes &seed, const Bytes &message)
 
     Sha512 hk;
     hk.update(r_enc, 32);
-    hk.update(k.publicKey, 32);
+    hk.update(key._publicKey, 32);
     hk.update(message);
     auto k_hash = hk.finish();
     U256 kk = scReduce64(k_hash.data());
 
-    U256 a = scFromBytes(k.scalar);
+    U256 a = scFromBytes(key._scalar);
     U256 s = scMulAdd(kk, a, r);
 
     Bytes sig(64);
     std::memcpy(sig.data(), r_enc, 32);
     scToBytes(sig.data() + 32, s);
     return sig;
+}
+
+Bytes
+ed25519PublicKey(const Bytes &seed)
+{
+    return ed25519PublicKey(Ed25519Key(seed));
+}
+
+Bytes
+ed25519Sign(const Bytes &seed, const Bytes &message)
+{
+    return ed25519Sign(Ed25519Key(seed), message);
 }
 
 bool

@@ -17,6 +17,36 @@
 namespace hypertee
 {
 
+/**
+ * A 32-byte seed expanded once (RFC 8032, Section 5.1.5): the clamped
+ * secret scalar, the nonce prefix and the public key. A key that signs
+ * more than once keeps one of these, so each signature skips the
+ * seed's SHA-512 and its fixed-base scalar multiplication. The secret
+ * halves are wiped on destruction.
+ */
+class Ed25519Key
+{
+  public:
+    explicit Ed25519Key(const Bytes &seed);
+    Ed25519Key(const Ed25519Key &) = default;
+    Ed25519Key &operator=(const Ed25519Key &) = default;
+    ~Ed25519Key();
+
+  private:
+    friend Bytes ed25519PublicKey(const Ed25519Key &key);
+    friend Bytes ed25519Sign(const Ed25519Key &key, const Bytes &message);
+
+    std::uint8_t _scalar[32]; ///< clamped secret scalar a
+    std::uint8_t _prefix[32]; ///< nonce prefix
+    std::uint8_t _publicKey[32];
+};
+
+/** The 32-byte public key of @p key. */
+Bytes ed25519PublicKey(const Ed25519Key &key);
+
+/** Sign @p message with @p key; 64-byte result. */
+Bytes ed25519Sign(const Ed25519Key &key, const Bytes &message);
+
 /** Derive the 32-byte public key for a 32-byte seed. */
 Bytes ed25519PublicKey(const Bytes &seed);
 

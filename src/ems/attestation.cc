@@ -94,11 +94,14 @@ buildQuote(const KeyManager &km, const Bytes &platform_measurement,
     q.platformMeasurement = platform_measurement;
     q.enclaveMeasurement = enclave_measurement;
     q.akSalt = ak_salt;
-    q.akPublicKey = km.attestationPublicKey(ak_salt);
+    // One AK expansion serves its public key and its signature.
+    SecretBytes ak_seed(km.attestationKeySeed(ak_salt));
+    const Ed25519Key ak(ak_seed.get());
+    q.akPublicKey = ed25519PublicKey(ak);
     q.dhPublic = dh_public;
     q.verifierNonce = verifier_nonce;
     q.platformSig = km.signWithEk(platformSigBody(q));
-    q.enclaveSig = km.signWithAk(ak_salt, enclaveSigBody(q));
+    q.enclaveSig = ed25519Sign(ak, enclaveSigBody(q));
     return q;
 }
 

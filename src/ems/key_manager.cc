@@ -7,12 +7,22 @@
 namespace hypertee
 {
 
-KeyManager::KeyManager(const EFuse &efuse)
-    : _endorsementSeed(efuse.endorsementSeed),
-      _sealedKey(efuse.sealedKey)
+namespace
 {
-    fatalIf(_endorsementSeed.size() != 32,
+
+const Bytes &
+checkedEkSeed(const EFuse &efuse)
+{
+    fatalIf(efuse.endorsementSeed.size() != 32,
             "EK seed must be 32 bytes");
+    return efuse.endorsementSeed;
+}
+
+} // namespace
+
+KeyManager::KeyManager(const EFuse &efuse)
+    : _endorsementKey(checkedEkSeed(efuse)), _sealedKey(efuse.sealedKey)
+{
     fatalIf(_sealedKey.size() != 32, "SK must be 32 bytes");
 }
 
@@ -29,13 +39,13 @@ KeyManager::derive(const char *label, const Bytes &context,
 Bytes
 KeyManager::endorsementPublicKey() const
 {
-    return ed25519PublicKey(_endorsementSeed.get());
+    return ed25519PublicKey(_endorsementKey);
 }
 
 Bytes
 KeyManager::signWithEk(const Bytes &message) const
 {
-    return ed25519Sign(_endorsementSeed.get(), message);
+    return ed25519Sign(_endorsementKey, message);
 }
 
 Bytes

@@ -19,6 +19,7 @@
 #include <cstdint>
 
 #include "crypto/bytes.hh"
+#include "crypto/ed25519.hh"
 #include "sim/types.hh"
 
 namespace hypertee
@@ -80,8 +81,9 @@ class KeyManager
     Bytes derive(const char *label, const Bytes &context,
                  std::size_t len) const;
 
-    SecretBytes _endorsementSeed; ///< EK seed, wiped on destruction
-    SecretBytes _sealedKey;       ///< SK, wiped on destruction
+    /** EK, expanded once at construction; wiped on destruction. */
+    Ed25519Key _endorsementKey;
+    SecretBytes _sealedKey; ///< SK, wiped on destruction
 };
 
 } // namespace hypertee

@@ -16,13 +16,19 @@
  *
  * OsFrames is the one modelled CS OS behind every pool: the system's,
  * the fleet model's and the tests'.
+ *
+ * The pool hands pages out first-in-first-out, and that order is part
+ * of every seeded run: which PPN an enclave gets decides its bitmap
+ * bits, and through them the golden fixtures and the perfbench
+ * digests. Pages move in and out as runs (block copies), but never in
+ * a different order.
  */
 
 #ifndef HYPERTEE_EMS_MEMORY_POOL_HH
 #define HYPERTEE_EMS_MEMORY_POOL_HH
 
-#include <deque>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "sim/random.hh"
@@ -58,6 +64,9 @@ class OsFrames
     void take(const std::vector<Addr> &ppns);
 
   private:
+    /** A pool refill grants straight into the pool's ring. */
+    friend class EnclaveMemoryPool;
+
     /** The policy: up to @p n PPNs into @p out, the most recently
      *  taken back first, then fresh ones; returns how many. */
     std::size_t grantInto(std::size_t n, Addr *out);
@@ -98,14 +107,18 @@ class EnclaveMemoryPool
                       std::uint64_t seed = 0x9001);
 
     /**
-     * Draw @p n pages. Refills from the OS first when the post-draw
-     * free count would cross the threshold. Returns empty when the
-     * OS cannot provide enough memory.
+     * Draw @p n pages into @p out, oldest first. Refills from the OS
+     * first when the post-draw free count would cross the threshold.
+     * Returns false, writing nothing, when the OS cannot provide
+     * enough memory.
      */
+    bool allocateInto(std::size_t n, Addr *out);
+
+    /** allocateInto() into a vector; empty when the OS runs dry. */
     std::vector<Addr> allocate(std::size_t n);
 
     /** Return pages to the pool (caller has zeroed them). */
-    void release(const std::vector<Addr> &pages);
+    void release(std::span<const Addr> pages);
 
     /**
      * Randomly draw pages for EWB: a random count in
@@ -125,7 +138,7 @@ class EnclaveMemoryPool
      */
     Rebalance rebalance();
 
-    std::size_t freePages() const { return _free.size(); }
+    std::size_t freePages() const { return _count; }
     std::size_t threshold() const { return _threshold; }
 
     /** Pages handed back to the OS across every shrink. */
@@ -142,11 +155,36 @@ class EnclaveMemoryPool
   private:
     void refill(std::size_t at_least);
     void rerandomizeThreshold();
+    /** Append @p pages at the young end, growing the ring if full. */
+    void append(std::span<const Addr> pages);
+    /** Grow the ring, unwrapped, so @p n more pages fit. */
+    void reserve(std::size_t n);
+    /** Copy the @p n oldest free pages to @p out, leaving them free. */
+    void copyOldest(std::size_t n, Addr *out) const;
+    /** Copy the @p n oldest free pages to @p out and drop them. */
+    void takeOldest(std::size_t n, Addr *out);
+    /** Ring index of @p slot < 2 * _ring.size(); no division. */
+    std::size_t
+    wrap(std::size_t slot) const
+    {
+        return slot < _ring.size() ? slot : slot - _ring.size();
+    }
+    /** The @p i-th oldest free page, @p i < _count. */
+    Addr &at(std::size_t i) { return _ring[wrap(_head + i)]; }
 
     OsFrames &_os;
     Params _p;
     Random _rng;
-    std::deque<Addr> _free;
+    /**
+     * The free pages, oldest first: _count entries from _head,
+     * wrapping round the end of _ring. Nothing that was handed out
+     * stays in the ring, and it grows (doubling, unwrapped) only when
+     * an append finds it full, so its size tracks the peak free count,
+     * not the lifetime traffic, and no page is moved to make room.
+     */
+    std::vector<Addr> _ring;
+    std::size_t _head = 0;
+    std::size_t _count = 0;
     std::size_t _threshold;
     std::uint64_t _osRequests = 0;
     std::uint64_t _osReturns = 0;

@@ -266,7 +266,10 @@ class ScriptedSource final : public RequestSource
  * The event-driven EMS scheduler. Samples per-class latencies,
  * offered/rejected counts and scheduler telemetry into a caller-owned
  * ShardStats under `<prefix>.` so independent load points merge
- * cleanly across shards.
+ * cleanly across shards. With the trace sink's `ems` category on,
+ * each dispatched batch is one "fleet batch" span on the scheduler's
+ * own simulated clock, with its size, the queue depth it was taken
+ * from and its server as args.
  */
 class FleetTrafficSim
 {

@@ -203,6 +203,37 @@ TEST(Ed25519, RandomKeysSignAndVerify)
     }
 }
 
+TEST(Ed25519, ExpandedKeyMatchesRfc8032Vectors)
+{
+    for (const Rfc8032Vector &v : kRfc8032) {
+        const Ed25519Key key(fromHex(v.seed));
+        EXPECT_EQ(toHex(ed25519PublicKey(key)), v.pub);
+        EXPECT_EQ(toHex(ed25519Sign(key, fromHex(v.msg))), v.sig);
+    }
+}
+
+TEST(Ed25519, ExpandedKeySignsLikeItsSeedAcrossReuseAndCopies)
+{
+    Random rng(2027);
+    for (int trial = 0; trial < 4; ++trial) {
+        Bytes seed(32);
+        for (auto &b : seed)
+            b = static_cast<std::uint8_t>(rng.next());
+        const Ed25519Key key(seed);
+        const Ed25519Key copy = key;
+        EXPECT_EQ(ed25519PublicKey(key), ed25519PublicKey(seed));
+        EXPECT_EQ(ed25519PublicKey(copy), ed25519PublicKey(seed));
+        // One expansion signs many messages, each as the seed would.
+        for (int m = 0; m < 3; ++m) {
+            Bytes msg(std::size_t(1 + trial * 29 + m * 11),
+                      static_cast<std::uint8_t>(m));
+            EXPECT_EQ(ed25519Sign(key, msg), ed25519Sign(seed, msg))
+                << "trial " << trial << " message " << m;
+            EXPECT_EQ(ed25519Sign(copy, msg), ed25519Sign(seed, msg));
+        }
+    }
+}
+
 TEST(Ed25519, DifferentMessagesDifferentSignatures)
 {
     Bytes seed = fromHex(kSeed1);

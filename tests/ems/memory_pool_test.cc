@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <numeric>
 #include <set>
 
@@ -222,6 +223,207 @@ TEST_F(PoolFixture, RebalanceInsideBandMovesNothing)
     EnclaveMemoryPool::Rebalance moved = pool.rebalance();
     EXPECT_EQ(moved.refilled, 0u);
     EXPECT_EQ(moved.returned, 0u);
+}
+
+/**
+ * The page-at-a-time pool on a std::deque that the run-based pool
+ * replaced: the reference whose hand-out order it must keep exactly.
+ */
+class DequePool
+{
+  public:
+    DequePool(OsFrames &os, const EnclaveMemoryPool::Params &params,
+              std::uint64_t seed)
+        : _os(os), _p(params), _rng(seed)
+    {
+        rerandomize();
+        refill(_p.initialPages);
+    }
+
+    std::vector<Addr>
+    allocate(std::size_t n)
+    {
+        if (free.size() < n + threshold)
+            refill(n + threshold - free.size());
+        if (free.size() < n)
+            return {};
+        std::vector<Addr> out;
+        for (std::size_t i = 0; i < n; ++i) {
+            out.push_back(free.front());
+            free.pop_front();
+        }
+        return out;
+    }
+
+    void
+    release(const std::vector<Addr> &pages)
+    {
+        free.insert(free.end(), pages.begin(), pages.end());
+    }
+
+    std::vector<Addr>
+    randomTake(std::size_t requested, std::size_t slack, Random &rng)
+    {
+        std::size_t count = requested + (slack ? rng.below(slack + 1) : 0);
+        count = std::min(count, free.size());
+        std::vector<Addr> out;
+        for (std::size_t i = 0; i < count; ++i) {
+            std::size_t pos = rng.below(free.size());
+            out.push_back(free[pos]);
+            free.erase(free.begin() + static_cast<std::ptrdiff_t>(pos));
+        }
+        return out;
+    }
+
+    void
+    returnToOs(std::size_t n)
+    {
+        n = std::min(n, free.size());
+        std::vector<Addr> pages(free.begin(),
+                                free.begin() + static_cast<std::ptrdiff_t>(n));
+        free.erase(free.begin(), free.begin() + static_cast<std::ptrdiff_t>(n));
+        _os.take(pages);
+        osReturns += n;
+    }
+
+    EnclaveMemoryPool::Rebalance
+    rebalance()
+    {
+        EnclaveMemoryPool::Rebalance moved;
+        if (_p.lowWatermark > 0 && free.size() < _p.lowWatermark) {
+            std::size_t before = free.size();
+            refill(_p.lowWatermark - before);
+            moved.refilled = free.size() - before;
+        } else if (_p.highWatermark > 0 &&
+                   free.size() > _p.highWatermark) {
+            moved.returned = free.size() - _p.highWatermark;
+            returnToOs(moved.returned);
+        }
+        return moved;
+    }
+
+    std::deque<Addr> free;
+    std::size_t threshold = 0;
+    std::uint64_t osRequests = 0;
+    std::uint64_t osReturns = 0;
+    std::vector<std::size_t> osRequestSizes;
+
+  private:
+    void
+    rerandomize()
+    {
+        threshold = _rng.between(_p.minThreshold, _p.maxThreshold);
+    }
+
+    void
+    refill(std::size_t at_least)
+    {
+        std::vector<Addr> pages =
+            _os.grant(std::max(at_least, _p.refillBatch));
+        ++osRequests;
+        osRequestSizes.push_back(pages.size());
+        free.insert(free.end(), pages.begin(), pages.end());
+        rerandomize();
+    }
+
+    OsFrames &_os;
+    EnclaveMemoryPool::Params _p;
+    Random _rng;
+};
+
+/** Same seed, same draws: one step's rng for each pool. */
+std::pair<Random, Random>
+twin(Random &drv)
+{
+    std::uint64_t seed = drv.next();
+    return {Random(seed), Random(seed)};
+}
+
+TEST(PoolDifferential, RunsHandOutExactlyWhatTheDequeDid)
+{
+    Random drv(0x5eed);
+    for (int trial = 0; trial < 60; ++trial) {
+        EnclaveMemoryPool::Params p;
+        p.initialPages = drv.below(64);
+        p.refillBatch = 1 + drv.below(48);
+        p.minThreshold = drv.below(8);
+        p.maxThreshold = p.minThreshold + drv.below(16);
+        if (drv.chance(0.5)) {
+            p.lowWatermark = 1 + drv.below(32);
+            p.highWatermark = p.lowWatermark + drv.below(96);
+        }
+        // Half the trials run against an OS that runs dry.
+        const Addr end = drv.chance(0.5) ? kFirstPpn + 128 + drv.below(256)
+                                         : ~Addr(0);
+        OsFrames os_a{kFirstPpn, end}, os_b{kFirstPpn, end};
+        const std::uint64_t seed = drv.next();
+        EnclaveMemoryPool pool(os_a, p, seed);
+        DequePool ref(os_b, p, seed);
+        std::vector<Addr> held;
+
+        for (int step = 0; step < 2000; ++step) {
+            SCOPED_TRACE(::testing::Message()
+                         << "trial " << trial << " step " << step);
+            switch (drv.below(6)) {
+              case 0:
+              case 1: {
+                std::size_t n = drv.below(24);
+                std::vector<Addr> got = pool.allocate(n);
+                ASSERT_EQ(got, ref.allocate(n));
+                held.insert(held.end(), got.begin(), got.end());
+                break;
+              }
+              case 2:
+              case 3: {
+                // A run from anywhere in what the caller holds.
+                std::size_t n = drv.below(std::min<std::size_t>(
+                                    held.size(), 32) + 1);
+                std::size_t at = drv.below(held.size() - n + 1);
+                auto first = held.begin() + static_cast<std::ptrdiff_t>(at);
+                auto last = first + static_cast<std::ptrdiff_t>(n);
+                std::vector<Addr> run(first, last);
+                held.erase(first, last);
+                pool.release(run);
+                ref.release(run);
+                break;
+              }
+              case 4: {
+                auto [rng_a, rng_b] = twin(drv);
+                std::size_t requested = 1 + drv.below(8);
+                std::size_t slack = drv.below(4);
+                std::vector<Addr> got =
+                    pool.randomTake(requested, slack, rng_a);
+                ASSERT_EQ(got, ref.randomTake(requested, slack, rng_b));
+                held.insert(held.end(), got.begin(), got.end());
+                break;
+              }
+              default:
+                if (drv.chance(0.5)) {
+                    std::size_t n = drv.below(24);
+                    pool.returnToOs(n);
+                    ref.returnToOs(n);
+                } else {
+                    EnclaveMemoryPool::Rebalance a = pool.rebalance();
+                    EnclaveMemoryPool::Rebalance b = ref.rebalance();
+                    ASSERT_EQ(a.refilled, b.refilled);
+                    ASSERT_EQ(a.returned, b.returned);
+                }
+                break;
+            }
+            ASSERT_EQ(pool.freePages(), ref.free.size());
+            ASSERT_EQ(pool.threshold(), ref.threshold);
+            ASSERT_EQ(pool.osRequests(), ref.osRequests);
+            ASSERT_EQ(pool.osReturns(), ref.osReturns);
+            ASSERT_EQ(pool.osRequestSizes(), ref.osRequestSizes);
+        }
+        // The whole free list, in order: a random draw of every page.
+        auto [rng_a, rng_b] = twin(drv);
+        std::size_t all = ref.free.size();
+        EXPECT_EQ(pool.randomTake(all, 0, rng_a),
+                  ref.randomTake(all, 0, rng_b))
+            << "trial " << trial;
+        EXPECT_EQ(os_a.grant(64), os_b.grant(64)) << "trial " << trial;
+    }
 }
 
 } // namespace

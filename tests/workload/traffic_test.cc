@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <set>
 
+#include "sim/trace.hh"
 #include "workload/traffic.hh"
 
 namespace hypertee
@@ -271,6 +272,66 @@ TEST(EmsScheduler, SmallFleetChurnKeepsTheLiveSetConsistent)
             EXPECT_EQ(d1->samples(), d2->samples()) << key;
         }
     }
+}
+
+TEST(EmsScheduler, EachBatchIsOneTraceSpanOnTheFleetClock)
+{
+    FleetTrafficParams p;
+    p.enclaveSlots = 64;
+    p.requests = 3'000;
+    p.offeredRatePerSec = 180'000;
+    p.seed = 5;
+    auto run = [&p](bool traced) {
+        TraceSink &sink = TraceSink::global();
+        sink.clear();
+        sink.setEnabled(traced);
+        ShardStats stats;
+        FleetTrafficSim sim(p, "f", stats);
+        sim.run();
+        sink.setEnabled(false);
+        return std::vector<std::uint64_t>{sim.offered(), sim.completed(),
+                                          sim.rejected(), sim.endTime()};
+    };
+    const std::vector<std::uint64_t> plain = run(false);
+    ASSERT_EQ(TraceSink::global().eventCount(), 0u);
+    const std::vector<std::uint64_t> traced = run(true);
+    EXPECT_EQ(traced, plain) << "tracing changed the simulation";
+    // The span names live in the sink until clear().
+    const std::vector<TraceEvent> events = TraceSink::global().events();
+
+    auto argOf = [](const TraceEvent &ev, std::string_view key) {
+        for (const TraceArg &a : ev.args)
+            if (a.first == key)
+                return a.second;
+        ADD_FAILURE() << "span without " << key;
+        return -1.0;
+    };
+    const Tick end = traced[3];
+    double batched = 0;
+    Tick last_start = 0;
+    std::vector<Tick> server_free(p.emsCores, 0);
+    for (const TraceEvent &ev : events) {
+        ASSERT_EQ(ev.phase, 'X');
+        ASSERT_EQ(ev.name, "fleet batch");
+        EXPECT_EQ(ev.cat, TraceCategory::Ems);
+        double batch = argOf(ev, "batch");
+        EXPECT_GE(batch, 1.0);
+        EXPECT_LE(batch, double(p.batchMax));
+        EXPECT_GE(argOf(ev, "queue_depth"), batch);
+        batched += batch;
+        // Batches open in simulated-time order, each server's one
+        // after another, and all close by the end of the run.
+        EXPECT_GE(ev.ts, last_start);
+        last_start = ev.ts;
+        auto server = static_cast<std::size_t>(argOf(ev, "server"));
+        ASSERT_LT(server, server_free.size());
+        EXPECT_GE(ev.ts, server_free[server]);
+        server_free[server] = ev.ts + ev.dur;
+        EXPECT_LE(ev.ts + ev.dur, end);
+    }
+    EXPECT_EQ(batched, double(traced[1]))
+        << "every completed request is in exactly one batch span";
+    TraceSink::global().clear();
 }
 
 } // namespace
