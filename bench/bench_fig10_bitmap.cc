@@ -71,10 +71,10 @@ main(int argc, char **argv)
 
     auto suite = spec2017Profiles();
     if (opts.smoke) {
-        // Two benchmarks at a tenth of the instruction budget.
-        suite.resize(2);
+        // Every benchmark at a fiftieth of its instruction budget, so
+        // the smoke run reaches every row, xalancbmk_r included.
         for (auto &profile : suite)
-            profile.instructions /= 10;
+            profile.instructions /= 50;
     }
 
     printRow({"benchmark", "tlb-miss", "native(ms)", "bitmap(ms)",

@@ -227,7 +227,7 @@ HyperTeeOsView::evictPage(Addr va)
                                            PrivMode::Supervisor, {1});
     if (!r.accepted || r.response.status != PrimStatus::Ok)
         return false;
-    const std::vector<std::uint64_t> &evicted = r.response.results;
+    const WordList &evicted = r.response.results;
     return std::find(evicted.begin() + 1, evicted.end(),
                      pageAlign(victimTable().walk(va).pa)) !=
            evicted.end();

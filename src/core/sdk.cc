@@ -20,8 +20,8 @@ EnclaveHandle::EnclaveHandle(HyperTeeSystem &sys, unsigned core,
 }
 
 InvokeResult
-EnclaveHandle::call(PrimitiveOp op, PrivMode mode,
-                    std::vector<std::uint64_t> args, Bytes payload)
+EnclaveHandle::call(PrimitiveOp op, PrivMode mode, WordList args,
+                    Bytes payload)
 {
     InvokeResult r = _sys->emCall(_core).invoke(op, mode, std::move(args),
                                                 std::move(payload));

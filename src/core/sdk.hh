@@ -79,8 +79,7 @@ class EnclaveHandle
     void setChargeCore(bool on) { _chargeCore = on; }
 
   private:
-    InvokeResult call(PrimitiveOp op, PrivMode mode,
-                      std::vector<std::uint64_t> args,
+    InvokeResult call(PrimitiveOp op, PrivMode mode, WordList args,
                       Bytes payload = {});
 
     HyperTeeSystem *_sys;

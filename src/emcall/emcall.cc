@@ -21,8 +21,8 @@ EmCall::cyclesToTicks(Cycles c) const
 }
 
 InvokeResult
-EmCall::invoke(PrimitiveOp op, PrivMode mode,
-               std::vector<std::uint64_t> args, Bytes payload)
+EmCall::invoke(PrimitiveOp op, PrivMode mode, WordList args,
+               Bytes payload)
 {
     InvokeResult result;
     result.latency = cyclesToTicks(_p.gateEntryCycles);
@@ -58,8 +58,9 @@ EmCall::invoke(PrimitiveOp op, PrivMode mode,
     }
 
     // Protection 2: the gate encapsulates the *tracked* identity.
+    const std::uint64_t req_id = _nextReqId++;
     PrimitiveRequest req;
-    req.reqId = _nextReqId++;
+    req.reqId = req_id;
     req.op = op;
     req.caller = _currentEnclave;
     req.mode = mode;
@@ -77,7 +78,7 @@ EmCall::invoke(PrimitiveOp op, PrivMode mode,
     // within this span.
     if (trace.enabled())
         trace.advanceTo(t0 + result.latency);
-    if (!_mailbox->pushRequest(req)) {
+    if (!_mailbox->pushRequest(std::move(req))) {
         result.accepted = false;
         result.response.status = PrimStatus::Busy;
         close_span(false);
@@ -91,10 +92,10 @@ EmCall::invoke(PrimitiveOp op, PrivMode mode,
     // serviceTime recorded by the EMS is added to the round trip.
     PrimitiveResponse resp;
     int polls = 1;
-    while (!_mailbox->pollResponse(req.reqId, resp)) {
+    while (!_mailbox->pollResponse(req_id, resp)) {
         ++polls;
         panicIf(polls > 1'000'000, "EMS never answered request ",
-                req.reqId, " (", primitiveName(op), ")");
+                req_id, " (", primitiveName(op), ")");
     }
     result.latency += Tick(polls) * _p.pollInterval;
     if (_obfuscate)

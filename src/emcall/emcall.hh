@@ -102,8 +102,7 @@ class EmCall
      * @param args primitive arguments (enclaveID is NOT among them;
      *             the gate adds the tracked identity itself)
      */
-    InvokeResult invoke(PrimitiveOp op, PrivMode mode,
-                        std::vector<std::uint64_t> args,
+    InvokeResult invoke(PrimitiveOp op, PrivMode mode, WordList args,
                         Bytes payload = {});
 
     /** Identity tracking: which context runs on this core now. */

@@ -21,7 +21,14 @@ PageOwnershipTable::claim(Addr ppn, EnclaveId owner, PageKind kind,
     const Addr number = ppn >> regionShift;
     Region *region = findRegion(number);
     if (!region) {
-        region = (_regions[number] = std::make_unique<Region>()).get();
+        if (_parkedCount != 0) {
+            RegionMap::node_type &node = _parked[--_parkedCount];
+            node.key() = number;
+            region = node.mapped().get();
+            _regions.insert(std::move(node));
+        } else {
+            region = (_regions[number] = std::make_unique<Region>()).get();
+        }
         _cachedNumber = number;
         _cachedRegion = region;
     }
@@ -73,9 +80,15 @@ PageOwnershipTable::release(Addr ppn)
     slot = Slot{};
     --_size;
     if (--region->live == 0) {
-        _regions.erase(number);
-        if (_cachedNumber == number)
+        // Every slot was reset on its release, so the region can be
+        // parked as it is; past maxParked it is freed.
+        RegionMap::node_type node = _regions.extract(number);
+        if (_parkedCount < maxParked)
+            _parked[_parkedCount++] = std::move(node);
+        if (_cachedNumber == number) {
             _cachedNumber = noPage;
+            _cachedRegion = nullptr;
+        }
     }
     return true;
 }
@@ -84,14 +97,21 @@ std::vector<Addr>
 PageOwnershipTable::pagesOf(EnclaveId enclave) const
 {
     std::vector<Addr> out;
+    pagesOf(enclave, out);
+    return out;
+}
+
+void
+PageOwnershipTable::pagesOf(EnclaveId enclave, std::vector<Addr> &out) const
+{
+    out.clear();
     auto list = _lists.find(enclave);
     if (list == _lists.end())
-        return out;
+        return;
     out.reserve(list->second.count);
     for (Addr ppn = list->second.head; ppn != noPage;
          ppn = linked(ppn).next)
         out.push_back(ppn);
-    return out;
 }
 
 std::size_t

@@ -13,8 +13,10 @@
  * hands them back to the pool (and so the PPNs later grants get).
  *
  * Entries are stored per 2 MiB region (512 frames), allocated with a
- * region's first claimed page and freed with its last, so the table
- * is sparse over arbitrary PPNs and holds no heap node per page.
+ * region's first claimed page and dropped with its last, so the table
+ * is sparse over arbitrary PPNs and holds no heap node per page. A
+ * few emptied regions are parked for the next region to reuse, since
+ * the pool's FIFO keeps moving EALLOC into regions nothing else owns.
  */
 
 #ifndef HYPERTEE_EMS_OWNERSHIP_HH
@@ -82,6 +84,8 @@ class PageOwnershipTable
 
     /** Private pages of @p enclave in claim order (EDESTROY sweep). */
     std::vector<Addr> pagesOf(EnclaveId enclave) const;
+    /** pagesOf() written over @p out, reusing its storage. */
+    void pagesOf(EnclaveId enclave, std::vector<Addr> &out) const;
 
     /** Number of private pages @p enclave owns. */
     std::size_t privatePages(EnclaveId enclave) const;
@@ -142,8 +146,22 @@ class PageOwnershipTable
     /** The slot of a page known to be owned (a list neighbour). */
     Slot &linked(Addr ppn) const { return *findSlot(ppn); }
 
-    std::unordered_map<Addr, std::unique_ptr<Region>> _regions;
-    /** Last region found; a freed region must not stay here. */
+    using RegionMap = std::unordered_map<Addr, std::unique_ptr<Region>>;
+    /**
+     * Emptied regions kept for reuse: an EFREE of a run under 512
+     * pages empties at most the two regions it straddles, and the
+     * next EALLOC claims them again.
+     */
+    static constexpr std::size_t maxParked = 2;
+
+    RegionMap _regions;
+    /**
+     * Emptied regions, map node and all, every slot already clear.
+     * Claiming into a new region takes one before allocating.
+     */
+    std::array<RegionMap::node_type, maxParked> _parked;
+    std::size_t _parkedCount = 0;
+    /** Last region found; an emptied region must not stay here. */
     mutable Addr _cachedNumber = noPage;
     mutable Region *_cachedRegion = nullptr;
     std::unordered_map<EnclaveId, PageList> _lists;

@@ -60,7 +60,7 @@ EmsRuntime::drain()
     while (_port->mailbox().popRequest(req)) {
         PrimitiveResponse resp = handle(req);
         resp.reqId = req.reqId;
-        bool ok = _port->mailbox().pushResponse(resp);
+        bool ok = _port->mailbox().pushResponse(std::move(resp));
         panicIf(!ok, "response queue overflow");
     }
 }
@@ -184,30 +184,33 @@ EmsRuntime::grantDmaAccess(EnclaveId caller, ShmId shm_id,
 PageTable::FrameAllocator
 EmsRuntime::makeFrameAllocator(EnclaveId owner)
 {
+    // The frame is drawn into a local, not _grantBuf: mapRun asks for
+    // it while the run in _grantBuf is still being mapped.
     return [this, owner]() -> Addr {
-        std::vector<Addr> got = grantPages(1, owner, PageKind::PageTable,
-                                           0, _pendingFrameCharge);
-        fatalIf(got.empty(), "enclave memory pool exhausted while "
-                             "allocating a page-table frame");
-        return got[0] << pageShift;
+        Addr ppn = 0;
+        bool granted = grantPages({&ppn, 1}, owner, PageKind::PageTable,
+                                  0, _pendingFrameCharge);
+        fatalIf(!granted, "enclave memory pool exhausted while "
+                          "allocating a page-table frame");
+        return ppn << pageShift;
     };
 }
 
-std::vector<Addr>
-EmsRuntime::grantPages(std::size_t n, EnclaveId owner, PageKind kind,
-                       ShmId shm, Tick &service)
+bool
+EmsRuntime::grantPages(std::span<Addr> ppns, EnclaveId owner,
+                       PageKind kind, ShmId shm, Tick &service)
 {
-    std::vector<Addr> ppns = _pool->allocate(n);
-    if (ppns.size() != n)
-        return {};
+    if (!_pool->allocateInto(ppns.size(), ppns.data()))
+        return false;
     for (Addr ppn : ppns) {
         _port->zeroCs(ppn << pageShift, pageSize);
         bool claimed = _ownership.claim(ppn, owner, kind, shm);
         panicIf(!claimed, "pool page already owned: ", ppn);
         _port->setBitmapBit(ppn, true);
     }
-    service += _cost.perPageZeroTime(n) + _cost.perPageMapTime(n);
-    return ppns;
+    service += _cost.perPageZeroTime(ppns.size()) +
+               _cost.perPageMapTime(ppns.size());
+    return true;
 }
 
 void
@@ -222,7 +225,7 @@ EmsRuntime::mapEnclaveRun(EnclaveControl &enc, Addr va,
 }
 
 void
-EmsRuntime::scrubAndReturn(const std::vector<Addr> &ppns, Tick &service)
+EmsRuntime::scrubAndReturn(std::span<const Addr> ppns, Tick &service)
 {
     for (Addr ppn : ppns) {
         _port->zeroCs(ppn << pageShift, pageSize);
@@ -247,12 +250,13 @@ EmsRuntime::teardown(EnclaveId id, Tick &service)
     }
 
     // Scrub every private page and page-table frame, then recycle.
-    scrubAndReturn(_ownership.pagesOf(id), service);
-    std::vector<Addr> pt_frames;
+    _ownership.pagesOf(id, _returnBuf);
+    scrubAndReturn(_returnBuf, service);
+    _returnBuf.clear();
     for (Addr frame : enc.pageTable->tableFrames())
-        pt_frames.push_back(pageNumber(frame));
+        _returnBuf.push_back(pageNumber(frame));
     enc.pageTable.reset();
-    scrubAndReturn(pt_frames, service);
+    scrubAndReturn(_returnBuf, service);
 
     if (enc.keyId != 0)
         _port->releaseKey(enc.keyId);
@@ -379,10 +383,10 @@ EmsRuntime::doCreate(const PrimitiveRequest &req, Tick &service)
     // the data pages form a contiguous physical run (matching how a
     // host process is laid out) before any page-table frames are
     // interleaved.
-    std::vector<Addr> frames = grantPages(cfg.stackPages + cfg.heapPages,
-                                          id, PageKind::Private, 0,
-                                          service);
-    if (frames.empty()) {
+    // A local run, not _grantBuf: a run of thousands of pages would
+    // stay held for the runtime's life.
+    std::vector<Addr> frames(cfg.stackPages + cfg.heapPages);
+    if (!grantPages(frames, id, PageKind::Private, 0, service)) {
         // Nothing half-built survives: the root table frame and the
         // KeyID go back.
         teardown(id, service);
@@ -420,11 +424,10 @@ EmsRuntime::doAdd(const PrimitiveRequest &req, Tick &service)
     if (enc->pageTable->anyMapped(va, 1))
         return reject(PrimStatus::AlreadyExists);
 
-    std::vector<Addr> got =
-        grantPages(1, enc->id, PageKind::Private, 0, service);
-    if (got.empty())
+    Addr ppn = 0;
+    if (!grantPages({&ppn, 1}, enc->id, PageKind::Private, 0, service))
         return reject(PrimStatus::OutOfMemory);
-    Addr pa = got[0] << pageShift;
+    Addr pa = ppn << pageShift;
 
     // Copy the page image into enclave memory and extend the
     // running measurement (billed at EMEAS, Table IV).
@@ -440,7 +443,7 @@ EmsRuntime::doAdd(const PrimitiveRequest &req, Tick &service)
     enc->measureCtx->update(meta, sizeof(meta));
     enc->measuredBytes += pageSize + sizeof(meta);
 
-    mapEnclaveRun(*enc, va, got, perms, service);
+    mapEnclaveRun(*enc, va, {&ppn, 1}, perms, service);
 
     PrimitiveResponse resp;
     resp.flags = kFlagFlushTlb;
@@ -540,11 +543,10 @@ EmsRuntime::doAlloc(const PrimitiveRequest &req, Tick &service)
         return reject(PrimStatus::InvalidArgument);
     if (enc->pageTable->anyMapped(va, n))
         return reject(PrimStatus::AlreadyExists);
-    std::vector<Addr> frames =
-        grantPages(n, enc->id, PageKind::Private, 0, service);
-    if (frames.empty())
+    _grantBuf.resize(n);
+    if (!grantPages(_grantBuf, enc->id, PageKind::Private, 0, service))
         return reject(PrimStatus::OutOfMemory);
-    mapEnclaveRun(*enc, va, frames, PteRead | PteWrite, service);
+    mapEnclaveRun(*enc, va, _grantBuf, PteRead | PteWrite, service);
     if (req.args.size() == 1)
         enc->heapCursor += n * pageSize;
 
@@ -575,11 +577,11 @@ EmsRuntime::doFree(const PrimitiveRequest &req, Tick &service)
     // its mapped private pages once, so a run longer than that fails
     // within its first privatePages() + 1 pages: only those are
     // looked up, and they decide the status.
-    std::vector<LeafSlot> slots(
-        std::min(n, _ownership.privatePages(enc->id) + 1));
+    _slotBuf.resize(std::min(n, _ownership.privatePages(enc->id) + 1));
+    const std::span<LeafSlot> slots(_slotBuf);
     enc->pageTable->lookupRun(va, slots);
-    std::vector<Addr> freed;
-    freed.reserve(slots.size());
+    std::vector<Addr> &freed = _returnBuf;
+    freed.clear();
     for (const LeafSlot &slot : slots) {
         if (!slot.valid)
             return reject(PrimStatus::NotFound);
@@ -662,8 +664,8 @@ EmsRuntime::doShmGet(const PrimitiveRequest &req, Tick &service)
     if (shm.keyId == 0)
         return reject(PrimStatus::OutOfMemory);
 
-    shm.pages = grantPages(n, enc->id, PageKind::Shared, id, service);
-    if (shm.pages.empty()) {
+    shm.pages.resize(n);
+    if (!grantPages(shm.pages, enc->id, PageKind::Shared, id, service)) {
         _port->releaseKey(shm.keyId);
         return reject(PrimStatus::OutOfMemory);
     }
@@ -770,7 +772,8 @@ EmsRuntime::doShmDt(const PrimitiveRequest &req, Tick &service)
     if (att == enc->attachedShm.end())
         return reject(PrimStatus::NotFound);
 
-    std::vector<LeafSlot> slots(shm.pages.size());
+    _slotBuf.resize(shm.pages.size());
+    const std::span<LeafSlot> slots(_slotBuf);
     enc->pageTable->lookupRun(att->second, slots);
     enc->pageTable->clearRun(slots);
     enc->attachedShm.erase(att);

@@ -139,16 +139,15 @@ class EmsRuntime
     EnclaveControl *liveEnclave(EnclaveId id);
     KeyId assignKeyId(const Bytes &key, Tick &service);
     /**
-     * The one way a CS page leaves the pool: draw @p n pages all or
-     * nothing, then zero, claim and bitmap-protect each one and charge
-     * the zero and map time. Returns the PPNs, or empty (no page
-     * taken, nothing charged) when the pool cannot supply @p n.
+     * The one way a CS page leaves the pool: fill @p ppns from it all
+     * or nothing, then zero, claim and bitmap-protect each page and
+     * charge the zero and map time. Returns false (no page taken,
+     * nothing charged) when the pool cannot supply them.
      */
-    std::vector<Addr> grantPages(std::size_t n, EnclaveId owner,
-                                 PageKind kind, ShmId shm,
-                                 Tick &service);
+    bool grantPages(std::span<Addr> ppns, EnclaveId owner, PageKind kind,
+                    ShmId shm, Tick &service);
     /** The one way back: scrub, unprotect, disown and pool each page. */
-    void scrubAndReturn(const std::vector<Addr> &ppns, Tick &service);
+    void scrubAndReturn(std::span<const Addr> ppns, Tick &service);
     /** Map @p ppns at @p va in @p enc, charging per page. */
     void mapEnclaveRun(EnclaveControl &enc, Addr va,
                        std::span<const Addr> ppns, std::uint64_t perms,
@@ -185,6 +184,15 @@ class EmsRuntime
     Random _rng;
     std::unique_ptr<EnclaveMemoryPool> _pool;
     PageOwnershipTable _ownership;
+
+    /**
+     * Handler scratch, kept so a steady-state primitive allocates
+     * nothing: the run EALLOC drew, EFREE's and ESHMDT's leaf
+     * slots, and the pages EFREE and EDESTROY hand back.
+     */
+    std::vector<Addr> _grantBuf;
+    std::vector<LeafSlot> _slotBuf;
+    std::vector<Addr> _returnBuf;
 
     std::map<EnclaveId, EnclaveControl> _enclaves;
     std::map<ShmId, ShmControl> _shms;

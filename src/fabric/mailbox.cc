@@ -1,5 +1,7 @@
 #include "fabric/mailbox.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 #include "sim/trace.hh"
 
@@ -12,17 +14,23 @@ Mailbox::Mailbox(std::size_t capacity) : _capacity(capacity)
 }
 
 bool
-Mailbox::pushRequest(const PrimitiveRequest &req)
+Mailbox::pushRequest(PrimitiveRequest req)
 {
-    if (_requests.size() >= _capacity) {
+    if (_requestCount >= _capacity) {
         ++_rejected;
         HT_TRACE_INSTANT1(TraceCategory::Mailbox, "mailbox.reject",
                           TraceSink::global().now(), "reqId", req.reqId);
         return false;
     }
-    _requests.push_back(req);
+    if (_requestCount == _requests.size())
+        growRequests();
+    const std::uint64_t req_id = req.reqId;
+    std::size_t tail = _requestHead + _requestCount++;
+    if (tail >= _requests.size())
+        tail -= _requests.size();
+    _requests[tail] = std::move(req);
     HT_TRACE_INSTANT1(TraceCategory::Mailbox, "mailbox.push",
-                      TraceSink::global().now(), "reqId", req.reqId);
+                      TraceSink::global().now(), "reqId", req_id);
     if (_doorbell) {
         HT_TRACE_INSTANT(TraceCategory::Mailbox, "mailbox.doorbell",
                          TraceSink::global().now());
@@ -34,39 +42,61 @@ Mailbox::pushRequest(const PrimitiveRequest &req)
 bool
 Mailbox::popRequest(PrimitiveRequest &req)
 {
-    if (_requests.empty())
+    if (_requestCount == 0)
         return false;
-    req = _requests.front();
-    _requests.pop_front();
+    req = std::move(_requests[_requestHead]);
+    if (++_requestHead == _requests.size())
+        _requestHead = 0;
+    --_requestCount;
     HT_TRACE_INSTANT1(TraceCategory::Mailbox, "mailbox.pop",
                       TraceSink::global().now(), "reqId", req.reqId);
     return true;
 }
 
 bool
-Mailbox::pushResponse(const PrimitiveResponse &resp)
+Mailbox::pushResponse(PrimitiveResponse resp)
 {
     if (_responses.size() >= _capacity)
         return false;
-    panicIf(_responses.count(resp.reqId) != 0,
-            "duplicate response for request ", resp.reqId);
-    _responses.emplace(resp.reqId, resp);
+    const std::uint64_t req_id = resp.reqId;
+    for (const PrimitiveResponse &held : _responses)
+        panicIf(held.reqId == req_id, "duplicate response for request ",
+                req_id);
+    _responses.push_back(std::move(resp));
     HT_TRACE_INSTANT1(TraceCategory::Mailbox, "mailbox.response",
-                      TraceSink::global().now(), "reqId", resp.reqId);
+                      TraceSink::global().now(), "reqId", req_id);
     return true;
 }
 
 bool
 Mailbox::pollResponse(std::uint64_t req_id, PrimitiveResponse &resp)
 {
-    auto it = _responses.find(req_id);
-    if (it == _responses.end())
+    std::size_t i = 0;
+    while (i < _responses.size() && _responses[i].reqId != req_id)
+        ++i;
+    if (i == _responses.size())
         return false;
-    resp = it->second;
-    _responses.erase(it);
+    resp = std::move(_responses[i]);
+    // The last response fills the hole; the store is unordered.
+    if (i != _responses.size() - 1)
+        _responses[i] = std::move(_responses.back());
+    _responses.pop_back();
     HT_TRACE_INSTANT1(TraceCategory::Mailbox, "mailbox.poll",
                       TraceSink::global().now(), "reqId", req_id);
     return true;
+}
+
+void
+Mailbox::growRequests()
+{
+    // Unwrapped into twice the slots, never past the capacity.
+    std::vector<PrimitiveRequest> grown(
+        std::min(_capacity, std::max<std::size_t>(1, 2 * _requests.size())));
+    for (std::size_t i = 0; i < _requestCount; ++i)
+        grown[i] = std::move(
+            _requests[(_requestHead + i) % _requests.size()]);
+    _requests = std::move(grown);
+    _requestHead = 0;
 }
 
 void

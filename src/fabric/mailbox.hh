@@ -8,14 +8,20 @@
  * request by reqId — a caller can never dequeue another request's
  * response. The queues are invisible to ordinary CS software: they
  * are not part of the CS physical address map at all.
+ *
+ * Packets move through: a push takes the packet by value and moves it
+ * into its queue, and a pop or poll moves it out, so an EADD page
+ * crosses without a copy. The queues are a request ring and a flat
+ * response store searched by reqId. Each grows to the deepest backlog
+ * seen, never past `capacity` packets, and keeps its storage, so a
+ * packet allocates no queue storage once that depth has been reached.
  */
 
 #ifndef HYPERTEE_FABRIC_MAILBOX_HH
 #define HYPERTEE_FABRIC_MAILBOX_HH
 
-#include <deque>
 #include <functional>
-#include <unordered_map>
+#include <vector>
 
 #include "fabric/primitive.hh"
 #include "sim/types.hh"
@@ -30,16 +36,16 @@ class Mailbox
     explicit Mailbox(std::size_t capacity = 64);
 
     /** CS->EMS: returns false when the request queue is full. */
-    bool pushRequest(const PrimitiveRequest &req);
+    bool pushRequest(PrimitiveRequest req);
 
     /** EMS side: drain the next pending request. */
     bool popRequest(PrimitiveRequest &req);
 
-    bool requestPending() const { return !_requests.empty(); }
-    std::size_t requestDepth() const { return _requests.size(); }
+    bool requestPending() const { return _requestCount != 0; }
+    std::size_t requestDepth() const { return _requestCount; }
 
     /** EMS->CS: deliver a response (keyed by reqId). */
-    bool pushResponse(const PrimitiveResponse &resp);
+    bool pushResponse(PrimitiveResponse resp);
 
     /**
      * EMCall polling: retrieve the response for @p req_id only.
@@ -60,9 +66,16 @@ class Mailbox
     std::uint64_t requestsRejected() const { return _rejected; }
 
   private:
+    /** Make room for one more request: the ring is full. */
+    void growRequests();
+
     std::size_t _capacity;
-    std::deque<PrimitiveRequest> _requests;
-    std::unordered_map<std::uint64_t, PrimitiveResponse> _responses;
+    /** Pending requests, oldest at _requestHead, wrapping. */
+    std::vector<PrimitiveRequest> _requests;
+    std::size_t _requestHead = 0;
+    std::size_t _requestCount = 0;
+    /** Undelivered responses, unordered. */
+    std::vector<PrimitiveResponse> _responses;
     std::function<void()> _doorbell;
     Tick _transferLatency = 60'000; ///< ~60 ns fabric + queue hop
     std::uint64_t _rejected = 0;

@@ -11,7 +11,12 @@
 #ifndef HYPERTEE_FABRIC_PRIMITIVE_HH
 #define HYPERTEE_FABRIC_PRIMITIVE_HH
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
+#include <initializer_list>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -66,13 +71,84 @@ enum class PrimStatus : std::uint8_t
 
 const char *primStatusName(PrimStatus s);
 
+/**
+ * A packet's argument or result words. No primitive takes more than
+ * inlineWords arguments, and only EWB answers with more results (a
+ * count and one address per page), so a list lives inside its packet
+ * and a round trip allocates nothing for it; a longer list moves to
+ * the heap. Copies copy the words; a move leaves a heap list empty.
+ */
+class WordList
+{
+  public:
+    static constexpr std::size_t inlineWords = 3;
+
+    using const_iterator = const std::uint64_t *;
+
+    WordList() = default;
+    WordList(std::initializer_list<std::uint64_t> words)
+    {
+        for (std::uint64_t w : words)
+            push_back(w);
+    }
+    explicit WordList(std::span<const std::uint64_t> words)
+    {
+        for (std::uint64_t w : words)
+            push_back(w);
+    }
+
+    std::size_t size() const { return _heap.empty() ? _count : _heap.size(); }
+    bool empty() const { return size() == 0; }
+    const std::uint64_t *
+    data() const
+    {
+        return _heap.empty() ? _inline.data() : _heap.data();
+    }
+    const_iterator begin() const { return data(); }
+    const_iterator end() const { return data() + size(); }
+    std::uint64_t operator[](std::size_t i) const { return data()[i]; }
+
+    std::uint64_t
+    at(std::size_t i) const
+    {
+        if (i >= size())
+            throw std::out_of_range("WordList::at");
+        return data()[i];
+    }
+
+    void
+    push_back(std::uint64_t w)
+    {
+        if (_heap.empty() && _count < inlineWords) {
+            _inline[_count++] = w;
+            return;
+        }
+        if (_heap.empty()) {
+            _heap.assign(_inline.begin(), _inline.end());
+            _count = 0;
+        }
+        _heap.push_back(w);
+    }
+
+    friend bool
+    operator==(const WordList &a, const WordList &b)
+    {
+        return std::equal(a.begin(), a.end(), b.begin(), b.end());
+    }
+
+  private:
+    std::array<std::uint64_t, inlineWords> _inline{};
+    std::size_t _count = 0; ///< inline words in use (none once on heap)
+    std::vector<std::uint64_t> _heap; ///< every word, past inlineWords
+};
+
 struct PrimitiveRequest
 {
     std::uint64_t reqId = 0;       ///< unique binding id (EMCall)
     PrimitiveOp op = PrimitiveOp::ECreate;
     EnclaveId caller = invalidEnclaveId; ///< encapsulated by EMCall
     PrivMode mode = PrivMode::User;      ///< checked by EMCall
-    std::vector<std::uint64_t> args;
+    WordList args;
     Bytes payload;                 ///< e.g. EADD page contents
     Tick issuedAt = 0;
 };
@@ -90,7 +166,7 @@ struct PrimitiveResponse
     std::uint64_t reqId = 0;
     PrimStatus status = PrimStatus::Ok;
     std::uint64_t flags = 0;       ///< ResponseFlag bits for the gate
-    std::vector<std::uint64_t> results;
+    WordList results;
     Bytes payload;                 ///< e.g. attestation certificate
     Tick completedAt = 0;          ///< EMS-side service time
 };

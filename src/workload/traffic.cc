@@ -351,11 +351,7 @@ FleetTrafficSim::FleetTrafficSim(const FleetTrafficParams &params,
     }
 
     _serverBatch.assign(_p.emsCores, 0);
-    // The event callbacks are named lambdas: htlint's call graph
-    // indexes a lambda written inside a call's arguments as a function
-    // named after that call (push_back, make_unique), so every
-    // push_back in the program would seem to run the scheduler and
-    // its trace spans.
+    // One batch-completion event per EMS server.
     for (unsigned s = 0; s < _p.emsCores; ++s) {
         auto done = [this, s] { finishBatch(s); };
         _serverDone.push_back(std::make_unique<Event>(

@@ -145,6 +145,7 @@ TEST(Ownership, PageListsSpanRegionsAndFreedRegionsRefill)
     constexpr Addr a = 3 * 512;
     constexpr Addr b = 10 * 512;
     constexpr Addr c = (Addr(1) << 30) + 7 * 512; // far, sparse PPN
+    constexpr Addr d = 20 * 512;
     PageOwnershipTable table;
     struct Entry
     {
@@ -219,6 +220,18 @@ TEST(Ownership, PageListsSpanRegionsAndFreedRegionsRefill)
     EXPECT_FALSE(table.release(c + 4));
     check();
 
+    // Empty region c again: it is parked, and the next new region, d,
+    // reuses its storage. Neither the cached region nor the reused
+    // slots may let c's pages or d's unclaimed ones be found.
+    release(c + 3);
+    release(c + 511);
+    claim(d + 3, 9);
+    claim(d + 4, 9, PageKind::Shared, 58);
+    EXPECT_EQ(table.lookup(c + 3), nullptr);
+    EXPECT_EQ(table.lookup(d + 511), nullptr);
+    claim(c + 3, 7);
+    claim(c + 511, 8, PageKind::Shared, 57);
+
     // Empty region a completely, refill it, then drain everything.
     release(a + 5);
     release(a + 6);
@@ -226,7 +239,8 @@ TEST(Ownership, PageListsSpanRegionsAndFreedRegionsRefill)
     EXPECT_FALSE(table.release(a + 5));
     claim(a + 511, 7);
     claim(a, 8);
-    for (Addr ppn : {b, b + 1, c + 3, a + 511, b + 511, c + 511, a})
+    for (Addr ppn :
+         {b, b + 1, c + 3, a + 511, b + 511, c + 511, a, d + 3, d + 4})
         release(ppn);
     EXPECT_EQ(table.size(), 0u);
     EXPECT_TRUE(table.pagesOf(7).empty());

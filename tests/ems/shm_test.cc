@@ -54,7 +54,7 @@ struct ShmFixture : ::testing::Test
         req.reqId = ++reqId;
         req.op = op;
         req.mode = mode;
-        req.args = std::move(args);
+        req.args = WordList(args);
         req.caller = caller;
         req.payload = std::move(payload);
         return rt->handle(req);

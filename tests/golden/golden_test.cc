@@ -17,9 +17,10 @@
  * library, and checks that every stat it exports holds the value
  * pinned in the bench's stats fixture.
  *
- * Fig. 10's xalancbmk_r row, the paper's TLB outlier, is the one
- * scenario no `--smoke` run reaches, so it is still pinned by hand in
- * Golden.Fig10BitmapOverheads against fig10_bitmap.golden.
+ * Golden.Fig10BitmapOverheads pins Fig. 10's quiet perlbench_r row and
+ * its TLB outlier xalancbmk_r at a fixed 3M-instruction budget, with
+ * the load and store counts the bench does not export, against
+ * fig10_bitmap.golden.
  *
  * Re-baseline (after an intentional model change) with
  *     HT_UPDATE_GOLDEN=1 ./build/tests/test_golden
@@ -331,8 +332,8 @@ checkGolden(const char *file, const GoldenMap &actual)
  * Figure 10 scenario at a reduced instruction budget: Host-Native vs
  * Host-Bitmap runtime and TLB misses for a quiet profile
  * (perlbench_r) and the TLB-stressing outlier (xalancbmk_r). The
- * bench's `--smoke` run covers only the first two SPEC profiles, so
- * xalancbmk_r is reached nowhere else at this budget.
+ * bench's `--smoke` run reaches both at a fiftieth of their budget;
+ * this pins them at 3M instructions, with their load and store counts.
  */
 TEST(Golden, Fig10BitmapOverheads)
 {

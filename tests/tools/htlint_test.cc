@@ -237,6 +237,41 @@ TEST(HtlintLockOrder, ConsistentOrderThroughCallsIsQuiet)
     EXPECT_EQ(countRule(diags, "lock-order"), 0);
 }
 
+TEST(HtlintLockOrder, LambdaArgumentIsNotAFunctionNamedAfterTheCall)
+{
+    // flush() is called only from a lambda passed to push_back; a
+    // function holding _queue calls an unrelated push_back, and
+    // rotate() takes _log then _queue. Naming the lambda after the
+    // call would invent a _queue -> _log edge and a cycle.
+    auto diags = lintAs(
+        {{"lock_order_lambda.hh", "src/sim/journal.hh"},
+         {"lock_order_lambda_good.cc", "src/sim/journal.cc"}});
+    EXPECT_EQ(countRule(diags, "lock-order"), 0);
+}
+
+TEST(HtlintLockOrder, DirectCallBesideALambdaArgumentStillCycles)
+{
+    // The same program with a direct flush() call under _queue: a
+    // true cycle, and its _queue -> _log edge cites that call.
+    auto diags = lintAs(
+        {{"lock_order_lambda.hh", "src/sim/journal.hh"},
+         {"lock_order_lambda_bad.cc", "src/sim/journal.cc"}});
+    ASSERT_EQ(countRule(diags, "lock-order"), 1);
+    for (const Diagnostic &d : diags) {
+        if (d.rule != "lock-order")
+            continue;
+        EXPECT_NE(d.message.find("Journal::_queue"), std::string::npos)
+            << d.message;
+        EXPECT_NE(d.message.find("Journal::_log"), std::string::npos);
+        bool names_flush = false;
+        for (const FlowStep &s : d.flow)
+            if (s.note.find("flush") != std::string::npos)
+                names_flush = true;
+        EXPECT_TRUE(names_flush)
+            << "the _queue -> _log edge should cite the flush() call";
+    }
+}
+
 // ------------------------------------------------------ atomic-sanity
 
 TEST(HtlintAtomicSanity, FlagsSplitRmwRelaxedFlagAndWeakDcl)
@@ -831,6 +866,16 @@ TEST(HtlintSecretFlow, FlagsRawKeyInMailboxPayload)
     // whole struct must still be caught.
     auto flows = secretFlows(lintAs(
         {{"secret_flow_mailbox_bad.cc", "src/ems/mbox_bad.cc"}}));
+    ASSERT_EQ(flows.size(), 1u);
+    EXPECT_NE(flows[0].message.find("mailbox"), std::string::npos);
+}
+
+TEST(HtlintSecretFlow, FlagsKeyMovedIntoMailbox)
+{
+    // Real pushes move the response in; std::move must not launder
+    // the taint on its way to the sink.
+    auto flows = secretFlows(lintAs({{"secret_flow_mailbox_moved_bad.cc",
+                                      "src/ems/mbox_moved_bad.cc"}}));
     ASSERT_EQ(flows.size(), 1u);
     EXPECT_NE(flows[0].message.find("mailbox"), std::string::npos);
 }

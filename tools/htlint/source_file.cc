@@ -99,6 +99,14 @@ SourceFile::classify(Block &b, std::size_t stmt_start,
         return;
     }
 
+    // A '{' inside a call's parentheses opens a lambda body or a
+    // braced argument, never a function named after the call: the
+    // lambda in `v.push_back([this] { flush(); })` is not push_back.
+    if (toks[open_idx].parenDepth > 0) {
+        b.kind = Block::Kind::Other;
+        return;
+    }
+
     const Token &first = toks[stmt[0]];
     if (first.kind == TokKind::Identifier) {
         if (first.text == "namespace") {
